@@ -336,16 +336,17 @@ def run_g_iterations(
 
     for j in range(1, g + 1):
         ctx = None
+        views = build_adjacency(state)
         if p == 0:
             samples: SampleVector = (False,) * len(state.clustering.clusters)
         elif deterministic:
             ctx = UtilityContext.create(
                 n=n, iteration=j, p=p, g=g, weighted=graph.weighted, iota=iota
             )
-            samples = fix_bits(state, ctx, enforce_target=enforce_budget)
+            samples = fix_bits(state, ctx, enforce_target=enforce_budget, views=views)
         else:
             samples = random_samples(state, p, seed, salt)
-        state = run_iteration(state, samples)
+        state = run_iteration(state, samples, views=views)
         if ctx is not None and enforce_budget:
             check_objectives(state, ctx)
     return EdgeSet(graph, state.spanner), state.clustering, state

@@ -184,9 +184,9 @@ class CertificateReport:
 def cut_matrix(graph: Graph, edge_ids: Iterable[int]) -> np.ndarray:
     """Boolean matrix: row per cut (subsets containing node 0), column per
     given edge; True when the edge crosses the cut.  n <= CUT_ENUM_LIMIT."""
-    n = graph.n
-    if n > CUT_ENUM_LIMIT:
+    if graph.n > CUT_ENUM_LIMIT:
         raise ParameterError(f"cut enumeration capped at n <= {CUT_ENUM_LIMIT}")
+    n = max(graph.n, 1)  # no node, like one node, has no proper cut
     masks = np.arange(1 << (n - 1), dtype=np.uint32)  # bit i-1 = node i; node 0 fixed
     sides = np.zeros((len(masks), n), dtype=bool)
     for v in range(1, n):
@@ -198,7 +198,7 @@ def cut_matrix(graph: Graph, edge_ids: Iterable[int]) -> np.ndarray:
         cross[:, col] = sides[:, e.u] != sides[:, e.v]
     # Drop the improper "cut" S = V (mask with every bit set keeps the cut
     # empty anyway, but per the contract we enumerate 2^(n-1) - 1 cuts).
-    return cross[: (1 << (n - 1)) - 1] if n >= 1 else cross
+    return cross[: (1 << (n - 1)) - 1]
 
 
 def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport:

@@ -21,20 +21,29 @@ the initial expectation, which is below the target budget when iota is
 large enough — objectives (a)-(c) then all hold and are re-checked at
 runtime.
 
-All arithmetic is exact rational; conditional expectations match
-brute-force enumeration over the unset bits bit-for-bit.
+All arithmetic is exact, in plain integers.  With q = a/b, every bit
+marginal is scaled by b: an unset bit is (b-a, a), a bit fixed to 0 is
+(b, 0), a bit fixed to 1 is (0, b).  Each node term is then the integer
+b^K (E[b_v] + n^5 E[h_v]) with K = max d_v + 1, E[U] is one integer over
+the fixed denominator coef.denominator * b^K, and the budget check
+cross-multiplies.  Since E = (1-q) E0 + q E1, E0 <= E1 exactly when
+E0 <= E, so fixing a bit evaluates only its 0-branch over the affected
+nodes; when 1 wins, the new total and node terms follow from
+b T = (b-a) T0 + a T1, a division that must leave no remainder.
+Conditional expectations match brute-force enumeration over the unset
+bits bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .baswana_sen import BSState, NodeAdjacency, SampleVector, build_adjacency
 from .errors import ConfigurationError, InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
-from .rational import RAT, as_fraction, rat_ln_upper, sampling_probability
+from .rational import rat_ln_upper, sampling_probability
 
 # A partial assignment maps each cluster bit to 0, 1, or None (unset).
 PartialAssignment = Sequence["int | None"]
@@ -86,60 +95,114 @@ class UtilityContext:
         return cls(n, iteration, p, g, weighted, iota, p / 4, ln_g, tau, xi, coef, target)
 
 
-def _bit_probs(partial: PartialAssignment, q):
-    """(P[bit=0], P[bit=1]) arrays under the q-measure for unset bits."""
-    one = q / q if q else None  # exact 1 in the same rational type
-    zero = q - q
-    p0 = []
-    p1 = []
-    for b in partial:
-        if b is None:
-            p1.append(q)
-            p0.append(one - q)
-        elif b:
-            p1.append(one)
-            p0.append(zero)
-        else:
-            p1.append(zero)
-            p0.append(one)
-    return p0, p1
+class _ScaledUtility:
+    """E[U | partial] as one integer over `den` = coef.denominator * b^K.
 
-
-def _node_terms(view: NodeAdjacency, p0, p1, ctx: UtilityContext, n5, zero, one):
-    """Exact (E[b_v], E[h_v]) for one node under the current bit marginals.
-
-    The whole contribution is gated by P[own bit = 0]; inside that
-    conditional world the own entry is a certain zero (skipped in the
-    first-sampled scan, prefix factor one).
+    See the module docstring for the scaling.  Nodes whose term is
+    identically zero (nothing counted, no h penalty) are left out.
     """
-    own0 = p0[view.own]
-    if own0 == zero:
-        return zero, zero
-    d = view.d
-    pref = one
-    eb = zero
-    if ctx.weighted:
-        for j, entry in enumerate(view.entries):
-            if j == view.own_position:
+
+    def __init__(
+        self,
+        views: Mapping[int, NodeAdjacency],
+        ctx: UtilityContext,
+        partial: PartialAssignment,
+    ):
+        a, b = ctx.q.numerator, ctx.q.denominator
+        self.a, self.b = a, b
+        self.weighted = ctx.weighted
+        self.p0 = [b - a if x is None else (0 if x else b) for x in partial]
+        self.p1 = [b - x for x in self.p0]
+        top = max((view.d for view in views.values()), default=0)  # K - 1
+        self.bpow = [b**e for e in range(top + 1)]
+        self.coef_num, self.coef_den = ctx.coef.numerator, ctx.coef.denominator
+        self.den = self.coef_den * b * self.bpow[top]
+        n5 = ctx.n**5
+        # node -> (own cluster, non-own clusters in scan order, their
+        # adds_if_first, weight of the "nothing sampled" tail)
+        self.nodes: dict[int, tuple[int, tuple[int, ...], tuple[int, ...], int]] = {}
+        affected_sets: list[set[int]] = [set() for _ in partial]
+        for v, view in views.items():
+            d = view.d
+            tail = (d if ctx.weighted or d > ctx.tau else 0) + (n5 if d >= ctx.xi else 0)
+            if not tail:
                 continue
-            r1 = p1[entry.cluster]
-            if r1 != zero:
-                eb = eb + pref * r1 * view.adds_if_first[j]
-            pref = pref * p0[entry.cluster]
-            if pref == zero:
-                break
-        eb = eb + pref * d
-    else:
-        for j, entry in enumerate(view.entries):
-            if j == view.own_position:
-                continue
-            pref = pref * p0[entry.cluster]
-            if pref == zero:
-                break
-        if d > ctx.tau:
-            eb = pref * d
-    eh = pref if d >= ctx.xi else zero
-    return own0 * eb, own0 * eh
+            keep = [j for j in range(d) if j != view.own_position]
+            clusters = tuple(view.entries[j].cluster for j in keep)
+            self.nodes[v] = (view.own, clusters, tuple(view.adds_if_first[j] for j in keep), tail)
+            # a node depends on its own bit and on every adjacent cluster's
+            affected_sets[view.own].add(v)
+            for c in clusters:
+                affected_sets[c].add(v)
+        self.affected = [sorted(s) for s in affected_sets]
+        self.terms = {v: self._term(node) for v, node in self.nodes.items()}
+        self.total = (
+            self.coef_num * sum(self.p1) * self.bpow[top] + self.coef_den * sum(self.terms.values())
+        )
+
+    def _term(self, node) -> int:
+        """b^K * (E[b_v] + n^5 E[h_v]) under the current marginals.
+
+        The whole contribution is gated by P[own bit = 0]; inside that
+        world the own entry is a certain zero (left out of the scan).  The
+        first-sampled sum is accumulated Horner-style in powers of b.
+        """
+        own, clusters, adds, tail = node
+        gate = self.p0[own]
+        if not gate:
+            return 0
+        p0, p1, b, bpow = self.p0, self.p1, self.b, self.bpow
+        left = len(bpow) - 1  # powers of b still owed to reach b^(K-1)
+        acc = 0
+        pref = 1
+        if self.weighted:
+            for c, w in zip(clusters, adds):
+                left -= 1
+                acc = acc * b + pref * p1[c] * w
+                pref *= p0[c]
+                if not pref:
+                    return gate * acc * bpow[left]
+        else:
+            for c in clusters:
+                left -= 1
+                pref *= p0[c]
+                if not pref:
+                    return 0
+        return gate * (acc + pref * tail) * bpow[left]
+
+    def value(self, total: int) -> Fraction:
+        return Fraction(total, self.den)
+
+    def zero_branch(self, j: int) -> tuple[int, dict[int, int]]:
+        """Total and affected node terms with unset bit j fixed to 0."""
+        p0, p1 = self.p0, self.p1
+        saved = p0[j], p1[j]
+        p0[j], p1[j] = self.b, 0
+        terms = {v: self._term(self.nodes[v]) for v in self.affected[j]}
+        p0[j], p1[j] = saved
+        total = (
+            self.total
+            - self.coef_num * saved[1] * self.bpow[-1]
+            + self.coef_den * sum(t - self.terms[v] for v, t in terms.items())
+        )
+        return total, terms
+
+    def one_branch(self, j: int, total0: int, terms0: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """The bit-1 branch of unset bit j, from b*T = (b-a)*T0 + a*T1."""
+        a, b = self.a, self.b
+
+        def derive(t: int, t0: int) -> int:
+            t1, rem = divmod(b * t - (b - a) * t0, a)
+            if rem:
+                raise InvariantViolation(f"bit {j}: b*T - (b-a)*T0 is not a multiple of a={a}")
+            return t1
+
+        return derive(self.total, total0), {v: derive(self.terms[v], t) for v, t in terms0.items()}
+
+    def fix(self, j: int, bit: int, total: int, terms: dict[int, int]) -> None:
+        self.p0[j], self.p1[j] = (0, self.b) if bit else (self.b, 0)
+        self.terms.update(terms)
+        self.total = total
 
 
 def conditional_expectation(
@@ -149,20 +212,10 @@ def conditional_expectation(
 
     With every bit fixed this is a pure evaluation of the utility.
     """
-    clusters = state.clustering.clusters
-    if len(partial) != len(clusters):
+    if len(partial) != len(state.clustering.clusters):
         raise ParameterError("partial assignment length mismatch")
-    views = build_adjacency(state)
-    q = RAT(ctx.q.numerator, ctx.q.denominator)
-    one = q / q if q != 0 else RAT(1)
-    zero = one - one
-    p0, p1 = _bit_probs(partial, q)
-    n5 = RAT(ctx.n) ** 5
-    total = RAT(ctx.coef.numerator, ctx.coef.denominator) * sum(p1, zero)
-    for v in sorted(views):
-        eb, eh = _node_terms(views[v], p0, p1, ctx, n5, zero, one)
-        total = total + eb + n5 * eh
-    return as_fraction(total)
+    utility = _ScaledUtility(build_adjacency(state), ctx, partial)
+    return utility.value(utility.total)
 
 
 def fix_bits(
@@ -170,6 +223,7 @@ def fix_bits(
     ctx: UtilityContext,
     *,
     enforce_target: bool = True,
+    views: Mapping[int, NodeAdjacency] | None = None,
 ) -> SampleVector:
     """Greedily fix every cluster bit without increasing E[U].
 
@@ -182,70 +236,35 @@ def fix_bits(
     ConfigurationError when the initial expectation already exceeds the
     target (iota too small for this instance) unless `enforce_target`
     is off, in which case only the monotone-descent guarantee applies.
+    `views` are the state's adjacency views if the caller has them.
     """
-    clusters = state.clustering.clusters
-    views = build_adjacency(state)
-    q = RAT(ctx.q.numerator, ctx.q.denominator)
-    one = q / q if q != 0 else RAT(1)
-    zero = one - one
-    coef = RAT(ctx.coef.numerator, ctx.coef.denominator)
-    n5 = RAT(ctx.n) ** 5
-
-    partial: list[int | None] = [None] * len(clusters)
-    p0, p1 = _bit_probs(partial, q)
-
-    node_term: dict[int, object] = {}
-    for v, view in views.items():
-        eb, eh = _node_terms(view, p0, p1, ctx, n5, zero, one)
-        node_term[v] = eb + n5 * eh
-    cluster_term = coef * sum(p1, zero)
-    total = cluster_term + sum(node_term.values(), zero)
-
-    target = RAT(ctx.target.numerator, ctx.target.denominator)
-    if enforce_target and total > target:
+    if views is None:
+        views = build_adjacency(state)
+    utility = _ScaledUtility(views, ctx, [None] * len(state.clustering.clusters))
+    target = ctx.target
+    if enforce_target and utility.total * target.denominator > target.numerator * utility.den:
         raise ConfigurationError(
-            f"initial E[U] = {as_fraction(total)} exceeds budget {ctx.target}; "
+            f"initial E[U] = {utility.value(utility.total)} exceeds budget {ctx.target}; "
             f"raise iota (currently {ctx.iota})"
         )
 
-    # Nodes whose contribution depends on bit j: members of cluster j plus
-    # alive nodes adjacent to cluster j (deduplicated — a node with alive
-    # intra-cluster edges lists its own cluster among its entries too).
-    affected_sets: list[set[int]] = [set() for _ in clusters]
-    for v, view in views.items():
-        affected_sets[view.own].add(v)
-        for entry in view.entries:
-            affected_sets[entry.cluster].add(v)
-    affected = [sorted(s) for s in affected_sets]
-
-    for j in range(len(clusters)):
-        candidates = []
-        for bit in (0, 1):
-            p0[j] = one if bit == 0 else zero
-            p1[j] = zero if bit == 0 else one
-            new_terms = {}
-            delta = coef * ((one if bit else zero) - q)
-            for v in affected[j]:
-                eb, eh = _node_terms(views[v], p0, p1, ctx, n5, zero, one)
-                t = eb + n5 * eh
-                new_terms[v] = t
-                delta = delta + t - node_term[v]
-            candidates.append((total + delta, bit, new_terms))
-        # Prefer 0 on ties: candidates[0] is bit 0.
-        best = candidates[0] if candidates[0][0] <= candidates[1][0] else candidates[1]
-        new_total, bit, new_terms = best
+    bits = []
+    for j in range(len(state.clustering.clusters)):
+        total = utility.total
+        # E = (1-q) E0 + q E1, so E0 <= E1 exactly when E0 <= E; ties prefer 0.
+        new_total, new_terms = utility.zero_branch(j)
+        bit = int(new_total > total)
+        if bit:
+            new_total, new_terms = utility.one_branch(j, new_total, new_terms)
         if new_total > total:
             raise InvariantViolation(
                 f"conditional expectation increased fixing bit {j}: "
-                f"{as_fraction(total)} -> {as_fraction(new_total)}"
+                f"{utility.value(total)} -> {utility.value(new_total)}"
             )
-        partial[j] = bit
-        p0[j] = one if bit == 0 else zero
-        p1[j] = zero if bit == 0 else one
-        node_term.update(new_terms)
-        total = new_total
+        utility.fix(j, bit, new_total, new_terms)
+        bits.append(bool(bit))
 
-    return tuple(bool(b) for b in partial)
+    return tuple(bits)
 
 
 def check_objectives(after: BSState, ctx: UtilityContext) -> None:
@@ -256,7 +275,7 @@ def check_objectives(after: BSState, ctx: UtilityContext) -> None:
     if len(after.clustering.clusters) > ctx.n * ctx.p**ctx.iteration:
         raise InvariantViolation(
             f"objective (a): {len(after.clustering.clusters)} clusters survive, "
-            f"budget {as_fraction(Fraction(ctx.n) * ctx.p ** ctx.iteration)}"
+            f"budget {ctx.n * ctx.p ** ctx.iteration}"
         )
     if ctx.weighted:
         added = sum(stats.added_per_node.values())
@@ -289,8 +308,9 @@ def deterministic_spanner(
             ctx = UtilityContext.create(
                 n=graph.n, iteration=i, p=p, g=g, weighted=graph.weighted, iota=iota
             )
-            samples = fix_bits(state, ctx, enforce_target=enforce_budget)
-            state = run_iteration(state, samples)
+            views = build_adjacency(state)
+            samples = fix_bits(state, ctx, enforce_target=enforce_budget, views=views)
+            state = run_iteration(state, samples, views=views)
             if enforce_budget:
                 check_objectives(state, ctx)
     state = run_iteration(state, (False,) * len(state.clustering.clusters))

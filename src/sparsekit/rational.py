@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers.
 
 The derandomization code compares conditional expectations exactly, so
-everything here stays in rational arithmetic.  gmpy2.mpq is used when
-available (an order of magnitude faster than fractions.Fraction); the
-public API always returns fractions.Fraction.
+everything here is exact: fractions.Fraction or plain integers, never
+floats.  HAVE_GMPY2 only reports whether gmpy2 is importable; no code
+path depends on it.
 """
 
 from __future__ import annotations
@@ -13,19 +13,11 @@ from fractions import Fraction
 import mpmath
 
 try:
-    from gmpy2 import mpq as RAT  # type: ignore[import-untyped]
+    import gmpy2  # type: ignore[import-untyped]  # noqa: F401
 
     HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    RAT = Fraction
     HAVE_GMPY2 = False
-
-
-def as_fraction(x) -> Fraction:
-    """Convert an mpq/Fraction/int into a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(int(x.numerator), int(x.denominator)) if hasattr(x, "numerator") else Fraction(x)
 
 
 def integer_kth_root(x: int, k: int) -> int:

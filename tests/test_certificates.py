@@ -164,3 +164,12 @@ def test_custom_skeleton_is_respected():
 
     cert = certificate_small_k(g, 2, skeleton=skel)
     assert calls and verify_certificate(g, cert, 2).ok
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_verify_certificate_without_cuts_is_vacuous(n):
+    g = Graph(n, [], weighted=False)
+    assert cut_matrix(g, []).shape == (0, 0)
+    cert = certificate_small_k(g, 2)
+    rep = verify_certificate(g, cert, 2)
+    assert rep.ok and rep.mode == "cuts" and rep.detail == {"cuts_checked": 0}

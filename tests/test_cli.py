@@ -129,3 +129,15 @@ def test_main_returns_error_code_on_bad_input(tmp_path):
     assert main(["spanner", "-i", str(tmp_path / "nope.txt"), "--algo", "bs"]) == 2
     with pytest.raises(SystemExit):  # unknown algo is rejected by argparse
         main(["spanner", "-i", "x", "--algo", "nope"])
+
+
+@pytest.mark.parametrize("variant", ["small", "large"])
+def test_certificate_cmd_on_empty_graph(tmp_path, variant):
+    gpath = tmp_path / "g.txt"
+    Graph(0, [], weighted=False).write(gpath)
+    r = cli("certificate", "-i", str(gpath), "--k", "2", "--variant", variant, "--verify", "--json", "-")
+    assert r.returncode == 0, r.stderr  # every requested verification passed
+    assert "Traceback" not in r.stderr
+    report = json.loads(r.stdout)
+    assert report["n"] == 0 and report["edges"] == 0
+    assert report["verify_ok"] and report["verify_detail"] == {"cuts_checked": "0"}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from sparsekit.derand import (
     deterministic_spanner,
     fix_bits,
 )
-from sparsekit.errors import ConfigurationError, ParameterError
+from sparsekit.errors import ConfigurationError, InvariantViolation, ParameterError
 from sparsekit.graph import Graph
 from sparsekit.verify import verify_stretch
 
@@ -178,3 +179,111 @@ def test_deterministic_spanner_repeatable_and_correct():
     assert deterministic_spanner(gnp_graph(10, 0.5, seed=7), 1).ids == frozenset(
         range(gnp_graph(10, 0.5, seed=7).m)
     )
+
+
+# -- bit identity of the greedy across evaluator rewrites ------------------------
+
+FIX_BITS_DIGEST = "88daa1986b98eb1e7be5a2494e867c00dcb777328fa06e85987ee663cdea31c3"
+
+
+def fix_bits_transcript(monkeypatch) -> str:
+    """Every sample vector fix_bits returns, per construction, in call order."""
+    from sparsekit import derand, generate, ultra_sparse
+
+    calls = []
+    real = derand.fix_bits
+
+    def recording(*args, **kwargs):
+        samples = real(*args, **kwargs)
+        calls.append(samples)
+        return samples
+
+    monkeypatch.setattr(derand, "fix_bits", recording)
+    gu = generate.gnp(64, 0.25, seed=1)
+    gw = generate.gnp(64, 0.25, seed=2, weighted=True)
+    runs = [
+        ("bs-det-u", lambda: derand.deterministic_spanner(gu, 3)),
+        ("bs-det-w", lambda: derand.deterministic_spanner(gw, 3)),
+        ("linear-det-u", lambda: ultra_sparse.linear_size_spanner(gu, mode="derandomized", alpha0=4)),
+        # iota = 1 breaks the budget but makes the greedy pick many 1-bits
+        ("bs-det-u-iota1", lambda: derand.deterministic_spanner(gu, 3, iota=1, enforce_budget=False)),
+        ("bs-det-w-iota1", lambda: derand.deterministic_spanner(gw, 3, iota=1, enforce_budget=False)),
+    ]
+    lines = []
+    for name, run in runs:
+        calls.clear()
+        run()
+        assert calls, name
+        lines.append(name + ":" + ",".join("".join("01"[b] for b in s) for s in calls))
+    return "\n".join(lines)
+
+
+def test_fix_bits_sample_vectors_pinned(monkeypatch):
+    transcript = fix_bits_transcript(monkeypatch)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == FIX_BITS_DIGEST
+
+
+def test_one_branch_derivation_matches_direct_evaluation():
+    # Random mid-run states: a random iteration in (or none), then a random
+    # partial assignment, as fix_bits sees it halfway through.  For every
+    # unset bit, both branches must equal the directly evaluated utility.
+    from sparsekit.baswana_sen import build_adjacency
+    from sparsekit.derand import _ScaledUtility
+
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(4, 12)
+        weighted = rng.random() < 0.5
+        g = gnp_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=rng.randrange(10**6), weighted=weighted, max_weight=9)
+        p = Fraction(rng.randint(1, 3), rng.randint(4, 7))  # q = p/4 with numerator > 1 too
+        st = initial_state(g) if rng.random() < 0.3 else mid_state(g, p, seed=rng.randrange(100))
+        if not st.alive:
+            continue
+        xi = rng.choice([None, Fraction(rng.randint(1, 4))])  # small xi engages the n^5 term
+        ctx = UtilityContext.create(
+            n=n, iteration=st.iteration, p=p, g=st.iteration + 1, weighted=weighted, xi=xi
+        )
+        c = len(st.clustering.clusters)
+        partial = [rng.choice([None, None, 0, 1]) for _ in range(c)]
+        views = build_adjacency(st)
+        utility = _ScaledUtility(views, ctx, partial)
+        assert utility.value(utility.total) == conditional_expectation(st, ctx, partial)
+        for j in (j for j in range(c) if partial[j] is None):
+            total0, terms0 = utility.zero_branch(j)
+            total1, terms1 = utility.one_branch(j, total0, terms0)
+            for bit, total, terms in ((0, total0, terms0), (1, total1, terms1)):
+                fixed = list(partial)
+                fixed[j] = bit
+                assert utility.value(total) == conditional_expectation(st, ctx, fixed)
+                direct = _ScaledUtility(views, ctx, fixed)
+                assert terms == {v: direct.terms[v] for v in terms}
+        checked += 1
+
+
+def test_inexact_one_branch_is_an_invariant_violation():
+    from sparsekit.baswana_sen import build_adjacency
+    from sparsekit.derand import _ScaledUtility
+
+    g = gnp_graph(8, 0.6, seed=3, weighted=True, max_weight=9)
+    st = initial_state(g)
+    ctx = UtilityContext.create(n=8, iteration=1, p=Fraction(3, 5), g=2, weighted=True)
+    assert ctx.q.numerator > 1
+    utility = _ScaledUtility(build_adjacency(st), ctx, [None] * 8)
+    total0, terms0 = utility.zero_branch(0)
+    with pytest.raises(InvariantViolation):
+        utility.one_branch(0, total0 + 1, terms0)
+
+
+def test_fix_bits_rejects_an_increasing_step(monkeypatch):
+    from sparsekit.derand import _ScaledUtility
+
+    g = gnp_graph(12, 0.5, seed=4, weighted=True, max_weight=9)
+    st = initial_state(g)
+    ctx = UtilityContext.create(n=12, iteration=1, p=Fraction(1, 2), g=1, weighted=True, iota=1)
+    assert any(fix_bits(st, ctx, enforce_target=False))  # the 1-branch is taken
+    monkeypatch.setattr(
+        _ScaledUtility, "one_branch", lambda self, j, total0, terms0: (self.total + 1, terms0)
+    )
+    with pytest.raises(InvariantViolation, match="conditional expectation increased"):
+        fix_bits(st, ctx, enforce_target=False)
