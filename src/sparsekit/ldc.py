@@ -20,7 +20,8 @@ step), and records one bridge edge per (outside node, new cluster)
 pair.  The five step invariants — diameter, geometric decay of the
 unclustered set, ledger size, bridged neighboring clusters, and
 per-node witnesses — plus the 1/5 bad-mass bound are named runtime
-assertions, evaluated every step.
+assertions; the diameter invariant is checked for each cluster once when
+it is created, via 2·ecc(root) with an exact fallback.
 
 `ldc_sparse_spanner` = cluster trees + bridge ledger: at most
 n + ceil(n/t) edges, stretch on the order of the cluster diameter.
@@ -34,6 +35,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
+
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .clustering import Clustering
 from .errors import InvalidClusteringError, InvariantViolation, ParameterError
@@ -59,13 +63,33 @@ def _bfs_dist(graph: Graph, sources: Iterable[int], allowed: frozenset[int], dep
 
 
 def _induced_diameter(graph: Graph, members: frozenset[int]) -> int:
+    """Exact hop diameter of graph[members]: all-sources BFS in scipy,
+    256 sources at a time, so memory stays at 256 * |members| floats."""
+    index = {v: i for i, v in enumerate(sorted(members))}
+    k = len(index)
+    pairs = [(i, index[y]) for v, i in index.items() for _, y, _ in graph.neighbors(v) if y in index]
+    rows, cols = zip(*pairs) if pairs else ((), ())
+    csr = csr_matrix(([1] * len(pairs), (rows, cols)), shape=(k, k))
     best = 0
-    for v in members:
-        dist = _bfs_dist(graph, (v,), members)
-        if len(dist) != len(members):
+    for lo in range(0, k, 256):
+        far = shortest_path(csr, directed=False, unweighted=True, indices=range(lo, min(lo + 256, k))).max()
+        if math.isinf(far):
             raise InvariantViolation("cluster not connected in its induced subgraph")
-        best = max(best, max(dist.values()))
+        best = max(best, int(far))
     return best
+
+
+def _bfs_parents(
+    graph: Graph, root: int, members: frozenset[int], dist: Mapping[int, int]
+) -> dict[int, int]:
+    """BFS-tree parent map of graph[members]: each node points to its
+    smallest neighbor one level closer to `root` (`dist` covers members)."""
+    return {
+        u: u if u == root else min(
+            y for _, y, _ in graph.neighbors(u) if y in members and dist[y] == dist[u] - 1
+        )
+        for u in members
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +161,7 @@ def carve_clustering(
         if any(u in clustered for u in guard):
             demoted += 1
         else:
-            parent = {
-                u: (u if u == v else min(
-                    graph.edges[eid].other(u)
-                    for eid in graph.adj[u]
-                    if graph.edges[eid].other(u) in members
-                    and dist.get(graph.edges[eid].other(u), -1) == dist[u] - 1
-                ))
-                for u in members
-            }
-            emitted.append((v, parent))
+            emitted.append((v, _bfs_parents(graph, v, members, dist)))
             clustered |= members
         remaining -= {u for u, d in dist.items() if d <= r_star + t_sep}
 
@@ -195,13 +210,21 @@ def _check_step_invariants(
     ledger_witness: dict[tuple[int, int], int],
     unclustered: set[int],
     diam_bound: int,
+    base: int,
 ) -> None:
     member: dict[int, int] = {}
     for idx, (_, _, members) in enumerate(clusters):
         for u in members:
             member[u] = idx
-    # (1) diameter of every cluster
-    for idx, (_, _, members) in enumerate(clusters):
+    # (1) diameter of the clusters added this step (clusters[:base] never
+    # change).  diam <= 2 ecc(root) by the triangle inequality, so the
+    # exact check runs only when that certificate fails, which a correct
+    # run never sees: ecc <= r_carve + j <= 10t*ceil(log n) + 4t - 1, so
+    # 2 ecc < diameter_cap(n, 10t) + 10t.
+    for idx, (root, _, members) in enumerate(clusters[base:], base):
+        dist = _bfs_dist(graph, (root,), members)
+        if len(dist) == len(members) and 2 * max(dist.values()) <= diam_bound:
+            continue
         if _induced_diameter(graph, members) > diam_bound:
             raise InvariantViolation(f"invariant 1: cluster {idx} diameter exceeds {diam_bound}")
     # (3) ledger size against covered mass
@@ -264,16 +287,7 @@ def grow_and_cut(
             tree_dist = _bfs_dist(graph, (c.root,), members)
             if len(tree_dist) != len(members):
                 raise InvariantViolation("grown cluster not connected")
-            parent = {
-                u: (u if u == c.root else min(
-                    graph.edges[eid].other(u)
-                    for eid in graph.adj[u]
-                    if graph.edges[eid].other(u) in members
-                    and tree_dist[graph.edges[eid].other(u)] == tree_dist[u] - 1
-                ))
-                for u in members
-            }
-            new_local.append((c.root, parent, members))
+            new_local.append((c.root, _bfs_parents(graph, c.root, members, tree_dist), members))
             grown += len(members)
         if 5 * bad_mass > len(vi):
             raise InvariantViolation(
@@ -301,7 +315,7 @@ def grow_and_cut(
             raise InvariantViolation(
                 f"invariant 2: unclustered shrank {len(vi)} -> {len(unclustered)}"
             )
-        _check_step_invariants(graph, t, clusters, witness, unclustered, diam_bound)
+        _check_step_invariants(graph, t, clusters, witness, unclustered, diam_bound, base)
         steps.append(GrowCutStep(len(vi), carve.clustering.covered(), bad_mass, grown, carve.demoted))
 
     order = sorted(range(len(clusters)), key=lambda i: clusters[i][0])

@@ -223,6 +223,37 @@ def test_fix_bits_sample_vectors_pinned(monkeypatch):
     assert hashlib.sha256(transcript.encode()).hexdigest() == FIX_BITS_DIGEST
 
 
+def test_full_assignment_utility_matches_run_iteration():
+    # With every bit fixed, E[U | A] is U(A), which must agree with what
+    # run_iteration does under A: coef * sum(A), plus the edges counted in
+    # added_per_node (every node when weighted, dying nodes with d > tau
+    # otherwise), plus n^5 for each dying node with d >= xi.
+    rng = random.Random(4242)
+    boundary = 0  # dying nodes with d == xi, where >= and > disagree
+    for _ in range(120):
+        n = rng.randint(4, 12)
+        weighted = rng.random() < 0.5
+        g = gnp_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=rng.randrange(10**6), weighted=weighted, max_weight=9)
+        p = Fraction(rng.randint(1, 3), rng.randint(4, 7))
+        st = initial_state(g) if rng.random() < 0.3 else mid_state(g, p, seed=rng.randrange(100))
+        xi = rng.choice([None, Fraction(rng.randint(1, 4))])
+        ctx = UtilityContext.create(
+            n=n, iteration=st.iteration, p=p, g=st.iteration + 1, weighted=weighted, xi=xi
+        )
+        bits = [rng.choice([0, 0, 1]) for _ in st.clustering.clusters]
+        stats = run_iteration(st, tuple(map(bool, bits))).stats
+        d = stats.adjacent_counts
+        counted = sum(
+            added
+            for v, added in stats.added_per_node.items()
+            if weighted or (v in stats.died and d[v] > ctx.tau)
+        )
+        high = sum(1 for v in stats.died if d[v] >= ctx.xi)
+        boundary += sum(1 for v in stats.died if d[v] == ctx.xi)
+        assert conditional_expectation(st, ctx, bits) == ctx.coef * sum(bits) + counted + n**5 * high
+    assert boundary > 0
+
+
 def test_one_branch_derivation_matches_direct_evaluation():
     # Random mid-run states: a random iteration in (or none), then a random
     # partial assignment, as fix_bits sees it halfway through.  For every

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
+import networkx as nx
 import pytest
 
-from sparsekit.errors import InvalidClusteringError, ParameterError
+from sparsekit import ldc
+from sparsekit.errors import InvalidClusteringError, InvariantViolation, ParameterError
 from sparsekit.graph import Graph
 from sparsekit.ldc import (
     WeakCluster,
@@ -142,6 +145,117 @@ def test_grow_and_cut_200_node_random():
     assert len(steps) >= 1
 
 
+# -- diameter checks ----------------------------------------------------------
+
+
+def test_carve_diameters_are_exact(rng):
+    for trial in range(12):
+        n = rng.randint(8, 90)
+        g = gnp_graph(n, rng.choice([0.05, 0.12, 0.3]), seed=1500 + trial)
+        nxg = g.to_networkx()
+        for t in (1, 2, 4):
+            sc = carve_clustering(g, t)
+            for c, d in zip(sc.clustering.clusters, sc.diameters):
+                assert d == nx.diameter(nxg.subgraph(c.members))
+
+
+def middle_ended_path(n: int) -> Graph:
+    """Path on n nodes whose two ends are nodes n//2 and n//2 + 1."""
+    mid = n // 2
+    order = [mid] + [v for v in range(n) if v not in (mid, mid + 1)] + [mid + 1]
+    return Graph(n, list(zip(order, order[1:])), weighted=False)
+
+
+@pytest.mark.parametrize(
+    "g", [middle_ended_path(600), grid_graph(20, 20)], ids=["path600", "grid20"]
+)
+def test_induced_diameter_across_source_chunks(g):
+    # More than 256 members.  Only the ends of the path (both in the middle
+    # chunk of sources) reach the diameter, so every chunk must count.
+    assert ldc._induced_diameter(g, frozenset(range(g.n))) == nx.diameter(g.to_networkx())
+
+
+def test_induced_diameter_single_node_and_disconnected():
+    g = path_graph(5)
+    assert ldc._induced_diameter(g, frozenset([3])) == 0
+    with pytest.raises(InvariantViolation, match="not connected in its induced subgraph"):
+        ldc._induced_diameter(g, frozenset([0, 1, 3, 4]))  # connected only through node 2
+    with pytest.raises(InvariantViolation, match="not connected in its induced subgraph"):
+        ldc._induced_diameter(Graph(2, [], weighted=False), frozenset([0, 1]))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Sizes of the member sets the exact `_induced_diameter` runs on."""
+    calls = []
+    induced_diameter = ldc._induced_diameter
+
+    def counting_diameter(graph, members):
+        calls.append(len(members))
+        return induced_diameter(graph, members)
+
+    monkeypatch.setattr(ldc, "_induced_diameter", counting_diameter)
+    return calls
+
+
+def test_root_eccentricity_certificate_holds(rng, monkeypatch, exact_calls):
+    # 2 ecc(root) is within the diameter bound for every carved and every
+    # grown cluster, so the exact diameter runs once per carved cluster
+    # (its exact `diameters`) and never as invariant 1's fallback.
+    carved = []
+    carve = ldc.carve_clustering
+
+    def recording_carve(graph, t_sep, nodes=None):
+        sc = carve(graph, t_sep, nodes)
+        carved.append(sc)
+        return sc
+
+    monkeypatch.setattr(ldc, "carve_clustering", recording_carve)
+    for trial in range(8):
+        n = rng.randint(30, 140)
+        g = gnp_graph(n, rng.choice([0.03, 0.08, 0.2]), seed=1700 + trial)
+        nxg = g.to_networkx()
+        for t in (1, 2, 4):
+            exact_calls.clear()
+            carved.clear()
+            cl, _ = grow_and_cut(g, t)
+            for c in cl.clusters:
+                ecc = nx.eccentricity(nxg.subgraph(c.members), v=c.root)
+                assert 2 * ecc <= diameter_cap(n, 10 * t) + 10 * t
+            for sc in carved:
+                cap = diameter_cap(len(sc.universe), sc.t_sep)
+                for c in sc.clustering.clusters:
+                    assert 2 * nx.eccentricity(nxg.subgraph(c.members), v=c.root) <= cap
+            assert len(exact_calls) == sum(len(sc.clustering.clusters) for sc in carved)
+
+
+def test_zero_diameter_cap_still_raises(monkeypatch):
+    # The carve's exact diameter check rejects the first cluster with an
+    # edge; grow_and_cut never returns with the bound gone.
+    monkeypatch.setattr(ldc, "diameter_cap", lambda n, t_sep: 0)
+    with pytest.raises(InvariantViolation, match="diameter"):
+        grow_and_cut(gnp_graph(60, 0.08, seed=3), 2)
+
+
+def test_invariant_one_falls_back_to_exact_diameter(exact_calls):
+    # On the path 0-1-2-3-4 (diameter 4), a cluster rooted at the end has
+    # 2 ecc(root) = 8: the certificate fails and the exact diameter decides.
+    g = path_graph(5)
+    everything = frozenset(range(5))
+
+    def check(root, members, diam_bound):
+        ldc._check_step_invariants(g, 1, [(root, {}, members)], {}, set(), diam_bound, 0)
+
+    check(2, everything, 4)  # 2 ecc(center) = 4: certified, no exact run
+    assert exact_calls == []
+    check(0, everything, 4)  # exact diameter 4 is within the bound
+    assert exact_calls == [5]
+    with pytest.raises(InvariantViolation, match="invariant 1: cluster 0 diameter exceeds 3"):
+        check(2, everything, 3)
+    with pytest.raises(InvariantViolation, match="not connected in its induced subgraph"):
+        check(0, frozenset([0, 1, 3, 4]), 100)
+
+
 # -- spanners -----------------------------------------------------------------
 
 
@@ -257,3 +371,33 @@ def test_weak_spanner_rejects_non_separated_primitive():
 
     with pytest.raises(InvalidClusteringError):
         weak_diameter_spanner(g, primitive)
+
+
+# -- pinned outputs -----------------------------------------------------------
+
+
+def ldc_transcript() -> str:
+    """Every output bit of the LDC constructions on a fixed set of inputs."""
+    graphs = [
+        ("gnp64", gnp_graph(64, 0.08, seed=3)),
+        ("gnp200", gnp_graph(200, 0.03, seed=5)),
+        ("grid12", grid_graph(12, 12)),
+    ]
+    lines = []
+    for name, g in graphs:
+        for t in (2, 4, 8):
+            lines.append(f"{name} t={t}")
+            lines.append(f"ldc {sorted(ldc_sparse_spanner(g, t).ids)}")
+            lines.append(f"weak {sorted(weak_diameter_spanner(g, strong_primitive(t)).ids)}")
+            cl, ledger = grow_and_cut(g, t)
+            for c in cl.clusters:
+                lines.append(f"cluster {c.root} {sorted(c.parent.items())}")
+            lines.append(f"ledger {sorted(ledger.edges)} {sorted(ledger.witness.items())}")
+    return "\n".join(lines)
+
+
+LDC_DIGEST = "b0e9dd7edf782200d914fb68e2a30991b2580878b5634462879b1a361e4d1716"
+
+
+def test_ldc_outputs_pinned():
+    assert hashlib.sha256(ldc_transcript().encode()).hexdigest() == LDC_DIGEST
