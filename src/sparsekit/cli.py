@@ -95,11 +95,14 @@ def cmd_spanner(args) -> int:
     report: dict = {"algo": args.algo, "n": graph.n, "m": graph.m, "edges": len(edges)}
     ok = True
     if args.verify:
-        ratio, worst = measure_stretch(graph, edges.ids)
+        if alpha is not None:
+            rep = verify_stretch(graph, edges, alpha)
+            ratio, worst = rep.worst_ratio, rep.worst_edge
+        else:
+            ratio, worst = measure_stretch(graph, edges.ids)
         report["measured_stretch"] = _fmt(ratio)
         report["worst_edge"] = worst
         if alpha is not None:
-            rep = verify_stretch(graph, edges, alpha)
             report["stretch_bound"] = _fmt(Fraction(alpha))
             report["stretch_ok"] = rep.ok
             ok = ok and rep.ok

@@ -7,6 +7,16 @@ the bound over the edges of a G-shortest s-t path to get
 ``d_H(s, t) <= alpha * d_G(s, t)``.  The reported worst ratio is the
 exact maximum of d_H(u, v) / w(u, v) over edges.
 
+Only the edges of G - H are measured by full Dijkstra runs, from a
+vertex cover of them: a kept edge has d_H(u, v) <= w, so its ratio is
+at most 1 and cannot beat an omitted edge above 1.  Kept edges need a
+look only when the omitted ones top out at 1 or below, and then the
+answer is 1 at the first edge of ratio exactly 1, if there is one.  If
+some kept edge has d_H > 0, a lightest such edge f has ratio 1: each
+positive edge g on its shortest H-path has d_H(g) > 0, or the path
+could be shortened, so w(f) <= w(g) <= d_H(f).  Otherwise every kept
+edge has ratio 0 (or 0/0), and the omitted edges decide alone.
+
 All distances are exact.  The scipy fast path computes Dijkstra in
 float64, which is exact for integer path weights below 2**53; inputs
 beyond that fall back to a pure-Python integer Dijkstra.
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,7 +36,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .clustering import Clustering
-from .graph import EdgeSet, Graph
+from .errors import ParameterError
+from .graph import Edge, EdgeSet, Graph
 
 INF = math.inf
 
@@ -97,47 +109,68 @@ class StretchReport:
         return f"stretch ok={self.ok} worst_ratio={self.worst_ratio}{tgt} worst_edge={self.worst_edge}"
 
 
+def _cover_distances(graph: Graph, ids: frozenset[int], mat, edges: Sequence[Edge]) -> list[int | float]:
+    """d_H(u, v) for each edge, by Dijkstra from a greedy vertex cover of the
+    edges, 256 sources at a time, so memory stays at 256 * n floats."""
+    deg = Counter(x for e in edges for x in (e.u, e.v))
+    by_source: dict[int, list[int]] = {}  # its keys are the cover
+    for i, e in enumerate(edges):
+        if e.u in by_source or e.v in by_source:
+            s = e.u if e.u in by_source else e.v
+        else:
+            s = e.u if deg[e.u] >= deg[e.v] else e.v
+        by_source.setdefault(s, []).append(i)
+    sources = sorted(by_source)
+    out: list[int | float] = [0] * len(edges)
+    for lo in range(0, len(sources), 256):
+        chunk = sources[lo : lo + 256]
+        if mat is not None:
+            rows = _sp_dijkstra(mat, directed=False, indices=chunk)
+        else:
+            rows = [sssp(graph, s, ids) for s in chunk]
+        for s, row in zip(chunk, rows):
+            for i in by_source[s]:
+                e = edges[i]
+                out[i] = row[e.v if e.u == s else e.u]
+    return out
+
+
 def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | float, int | None]:
     """Exact worst edge-stretch of the subgraph, with a witnessing edge id."""
     ids = frozenset(sub_edges)
     if graph.m == 0:
         return Fraction(1), None
-    if _exact_float_ok(graph):
-        mat = _adjacency_matrix(graph, ids)
-        sources = sorted({e.u for e in graph.edges} | {e.v for e in graph.edges})
-        d = _sp_dijkstra(mat, directed=False, indices=sources)
-        row_of = {s: i for i, s in enumerate(sources)}
-        dist = lambda u, v: d[row_of[u]][v]  # noqa: E731
-    else:
-        cache: dict[int, list[int | float]] = {}
-
-        def dist(u: int, v: int):
-            if u not in cache:
-                cache[u] = sssp(graph, u, ids)
-            return cache[u][v]
-
-    worst: Fraction | float = Fraction(0)
-    worst_edge: int | None = None
-    for e in graph.edges:
-        dh = dist(e.u, e.v)
-        if math.isinf(dh):
-            return INF, e.id
+    mat = _adjacency_matrix(graph, ids) if _exact_float_ok(graph) else None
+    omitted = [e for e in graph.edges if e.id not in ids]
+    num, den, worst_edge = 0, 1, None
+    for e, dh in zip(omitted, _cover_distances(graph, ids, mat, omitted)):
+        if math.isinf(dh) or (e.w == 0 and dh > 0):
+            return INF, e.id  # disconnected, or a zero-weight edge stretched
         dh = int(dh)
+        if e.w and dh * den > num * e.w:  # 0/0 (zero-weight edge kept by zeros) is fine
+            num, den, worst_edge = dh, e.w, e.id
+    if num > den:
+        return Fraction(num, den), worst_edge
+    # The answer is 1 at the first edge of ratio exactly 1, if there is one;
+    # d_H <= w makes the capped Dijkstra of a kept edge exact.
+    stop = worst_edge if num == den else graph.m
+    for eid in sorted(i for i in ids if i < stop):
+        e = graph.edges[eid]
         if e.w == 0:
-            if dh == 0:
-                continue  # reached along other zero-weight edges: ratio 0/0 treated as fine
-            return INF, e.id
-        r = Fraction(dh, e.w)
-        if r > worst:
-            worst = r
-            worst_edge = e.id
-    return worst, worst_edge
+            continue
+        if mat is not None:
+            dh = _sp_dijkstra(mat, directed=False, indices=e.u, limit=e.w)[e.v]
+        else:
+            dh = sssp(graph, e.u, ids)[e.v]
+        if dh == e.w:
+            return Fraction(1), eid
+    return Fraction(num, den), worst_edge
 
 
 def verify_stretch(graph: Graph, spanner: EdgeSet, alpha) -> StretchReport:
     """Check that `spanner` is an alpha-spanner of `graph` (edge-wise, exact)."""
     if spanner.graph is not graph and spanner.graph.m != graph.m:
-        raise ValueError("spanner is not over the given graph")
+        raise ParameterError("spanner is not over the given graph")
     alpha = Fraction(alpha)
     ratio, worst_edge = measure_stretch(graph, spanner.ids)
     ok = not math.isinf(ratio) and ratio <= alpha

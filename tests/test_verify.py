@@ -1,17 +1,32 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsekit import generate
+from sparsekit.baswana_sen import spanner
 from sparsekit.clustering import Clustering
+from sparsekit.derand import deterministic_spanner
+from sparsekit.errors import ParameterError
 from sparsekit.graph import EdgeSet, Graph
-from sparsekit.verify import apsp, measure_stretch, sssp, verify_stretch, verify_stretch_friendly
+from sparsekit.ldc import ldc_sparse_spanner
+from sparsekit.ultra_sparse import ultra_sparse_spanner
+from sparsekit.verify import (
+    _exact_float_ok,
+    apsp,
+    measure_stretch,
+    sssp,
+    verify_stretch,
+    verify_stretch_friendly,
+)
 
-from conftest import cycle_graph, gnp_graph, path_graph
+from conftest import connected_gnp, cycle_graph, gnp_graph, path_graph
 
 
 def brute_force_distances(g: Graph) -> list[list[float]]:
@@ -87,6 +102,12 @@ def test_verify_stretch_disconnection_reports_inf():
     assert not rep.ok and math.isinf(rep.worst_ratio) and rep.worst_edge == 1
 
 
+def test_verify_stretch_rejects_spanner_of_another_graph():
+    g, other = path_graph(4), cycle_graph(4)
+    with pytest.raises(ParameterError, match="not over the given graph"):
+        verify_stretch(g, EdgeSet(other, frozenset([3])), 3)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10**6))
 def test_verify_stretch_identity_property(seed):
@@ -154,3 +175,122 @@ def test_measure_stretch_zero_weight_edges():
     g = Graph(3, [(0, 1, 0), (1, 2, 4), (0, 2, 4)])
     ratio, _ = measure_stretch(g, frozenset([0, 1]))
     assert ratio == Fraction(1)  # edge (0,2): d_H = 0 + 4 = 4 = w
+
+
+# -- measure_stretch against a reference --------------------------------------
+
+
+def reference_stretch(g: Graph, ids) -> tuple:
+    """The all-pairs oracle: every edge of G checked against apsp of H."""
+    if g.m == 0:
+        return Fraction(1), None
+    d = apsp(g, ids)
+    worst, worst_edge = Fraction(0), None
+    for e in g.edges:
+        dh = d[e.u][e.v]
+        if math.isinf(dh) or (e.w == 0 and dh > 0):
+            return math.inf, e.id
+        if e.w and Fraction(dh, e.w) > worst:
+            worst, worst_edge = Fraction(dh, e.w), e.id
+    return worst, worst_edge
+
+
+def scaled(g: Graph, factor: int) -> Graph:
+    return Graph(g.n, [(e.u, e.v, e.w * factor) for e in g.edges], weight_cap=2**60)
+
+
+@st.composite
+def graph_and_subgraph(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(chosen), max_size=len(chosen)))
+    g = Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+    kind = draw(st.sampled_from(["random", "empty", "full"]))
+    if kind == "empty":
+        return g, frozenset()
+    if kind == "full":
+        return g, frozenset(range(g.m))
+    keep = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    return g, frozenset(eid for eid, k in enumerate(keep) if k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_and_subgraph())
+def test_measure_stretch_matches_reference(case):
+    g, ids = case
+    expected = reference_stretch(g, ids)
+    assert measure_stretch(g, ids) == expected
+    assert measure_stretch(scaled(g, 2**50), ids) == expected
+
+
+def test_measure_stretch_ratio_one_witness_is_first_in_id_order():
+    # Edge 0 is kept with ratio 1; omitted edge 2 has d_H = 2 = w, ratio 1.
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
+    assert measure_stretch(g, frozenset([0, 1])) == (Fraction(1), 0)
+    # The omitted ratio-1 edge comes first.
+    g = Graph(3, [(0, 2, 2), (0, 1, 1), (1, 2, 1)])
+    assert measure_stretch(g, frozenset([1, 2])) == (Fraction(1), 0)
+
+
+def test_measure_stretch_degenerate_weights():
+    assert measure_stretch(Graph(4, []), frozenset()) == (Fraction(1), None)
+    zeros = Graph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
+    assert measure_stretch(zeros, frozenset([0, 1])) == (Fraction(0), None)
+    # zero-weight omitted edge whose endpoints are 1 apart in H
+    g = Graph(3, [(0, 1, 1), (1, 2, 0), (0, 2, 0)])
+    assert measure_stretch(g, frozenset([0, 1])) == (math.inf, 2)
+
+
+def test_measure_stretch_many_sources():
+    g = connected_gnp(600, 0.02, seed=1)
+    ids = ldc_sparse_spanner(g, 8).ids
+    matched: set[int] = set()
+    for e in g.edges:
+        if e.id not in ids and e.u not in matched and e.v not in matched:
+            matched |= {e.u, e.v}
+    assert len(matched) // 2 > 256  # any vertex cover of G - H spans several source chunks
+    assert measure_stretch(g, ids) == reference_stretch(g, ids)
+    # the same edges with node labels reversed, so other source chunks hold the witness
+    rev = Graph(g.n, [(g.n - 1 - e.u, g.n - 1 - e.v) for e in g.edges], weighted=False)
+    assert measure_stretch(rev, ids) == reference_stretch(rev, ids)
+
+
+def test_measure_stretch_exact_beyond_float_range():
+    g = Graph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 5), (0, 4, 7), (1, 3, 3)])
+    ids = frozenset([0, 1, 2, 3])
+    big = scaled(g, 2**50)
+    assert not _exact_float_ok(big)  # takes the pure-Python sssp path
+    assert measure_stretch(big, ids) == measure_stretch(g, ids) == (Fraction(11, 7), 4)
+
+
+# -- pinned oracle outputs ----------------------------------------------------
+
+
+def stretch_transcript() -> str:
+    """(worst_ratio, worst_edge) of measure_stretch on a fixed set of spanners."""
+    lines = []
+    for weighted in (False, True):
+        g = generate.gnp(256, 16 / 256, seed=7, weighted=weighted)
+        # ldc needs unit weights: build it on the topology, measure it on g.
+        hops = Graph(g.n, [(e.u, e.v) for e in g.edges], weighted=False)
+        for name, h in (
+            ("bs", spanner(g, 3, seed=1)),
+            ("bs-det", deterministic_spanner(g, 3)),
+            ("ultra", ultra_sparse_spanner(g, 8)),
+            ("ldc", ldc_sparse_spanner(hops, 8)),
+        ):
+            lines.append(f"{name} weighted={weighted} {measure_stretch(g, h.ids)}")
+    # Weighted inputs whose omitted edges top out below 1 (seed 3) and at
+    # exactly 1 (seed 16), so kept edges decide the witness.
+    for seed in (3, 16):
+        g = generate.gnp(256, 16 / 256, seed=seed, weighted=True)
+        lines.append(f"bs seed={seed} {measure_stretch(g, spanner(g, 3, seed=seed).ids)}")
+    return "\n".join(lines)
+
+
+STRETCH_DIGEST = "271c7bc483e2616c3853a9e4696ea49c6e841efa8eb35ff17a273e83e8a107e3"
+
+
+def test_measure_stretch_outputs_pinned():
+    assert hashlib.sha256(stretch_transcript().encode()).hexdigest() == STRETCH_DIGEST
