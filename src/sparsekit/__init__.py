@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .baswana_sen import (
     BaswanaSenProgram,
     BSState,
-    distributed_spanner,
     initial_state,
     run_distributed_spanner,
     run_g_iterations,
@@ -77,7 +76,6 @@ from .ultra_sparse import (
     linear_size_spanner,
     ultra_sparse_spanner,
     x_seq_holds,
-    x_seq_values,
 )
 from .verify import (
     StretchFriendlyReport,

@@ -12,19 +12,24 @@ that dies in iteration i is covered by a spanner path of stretch at
 most 2i-1, so after the final (sample-nothing) iteration the
 accumulated edges form a (2k-1)-spanner.
 
-Everything after the sampling step is deterministic, so the same
-iteration engine serves the seeded, the derandomized, and the
-distributed variants.  Cluster sampling coins are derived per
-(seed, cluster root, iteration), which is what lets the message-passing
-version reproduce the centralized run bit for bit.
+Everything after the sampling step is deterministic, and one node's
+step is written once: `cluster_entries` groups the node's alive edges
+into one minimum-edge entry per adjacent cluster, and `decide` picks the
+entries whose edges it adds.  The seeded and derandomized runs call
+them through `build_adjacency` and `run_iteration`, the derandomized
+utility reads `NodeAdjacency.adds_if_first`, and the message-passing
+`BaswanaSenProgram` calls them directly.  Cluster sampling coins are
+derived per (seed, cluster root, iteration), which is what lets the
+message-passing version reproduce the centralized run bit for bit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .clustering import Cluster, Clustering
 from .congest import Halt, LocalView, derived_coin, pack_bits, unpack_bits
@@ -47,8 +52,6 @@ class IterationStats:
     added_per_node: Mapping[int, int]
     adjacent_counts: Mapping[int, int]  # adjacent-cluster count d(v), own included
     died: frozenset[int]
-    survivor_added: int
-    dead_added: int
 
 
 @dataclass(frozen=True)
@@ -75,43 +78,67 @@ def initial_state(graph: Graph) -> BSState:
     )
 
 
-@dataclass(frozen=True)
-class AdjEntry:
-    weight: int
-    root: int
-    cluster: int  # index into the clustering
-    eid: int  # minimum edge from the node into this cluster
+def cluster_entries(
+    edges: Iterable[tuple[int, int, int]],
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, ...]]]:
+    """A node's adjacent clusters, from its alive edges given as (root, weight, eid).
+
+    `root` is the root of the neighbor's cluster.  Returns one entry
+    (weight, root, eid) per cluster, holding the minimum (weight, eid)
+    edge into it, sorted by (weight, root); and each entry's edge ids.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for root, w, eid in edges:
+        groups.setdefault(root, []).append((w, eid))
+    entries = []
+    for root, pairs in groups.items():
+        w, eid = min(pairs)
+        entries.append((w, root, eid))
+    entries.sort()  # roots are distinct, so this is (weight, root) order
+    return entries, [tuple(eid for _, eid in groups[root]) for _, root, _ in entries]
+
+
+def decide(weights: Sequence[int], first: int | None) -> list[int]:
+    """Positions of the entries whose minimum edge a node adds.
+
+    `weights` are the entry weights in (weight, root) order and `first`
+    is the position of the first sampled entry, if any.  A node that
+    joins that cluster adds its edge plus the edge of every strictly
+    lighter entry; a node with no sampled entry dies and adds them all.
+    """
+    if first is None:
+        return list(range(len(weights)))
+    return [*range(bisect_left(weights, weights[first])), first]
 
 
 @dataclass(frozen=True)
 class NodeAdjacency:
-    """One node's adjacent clusters, in processing order.
+    """One node's adjacent clusters, in `cluster_entries` order.
 
     A cluster is adjacent when it contains a neighbor — the node's own
     cluster included, which matters: a node joining a sampled cluster
     through an edge of weight w also adds (and thereby kills) its
     minimum edges into every strictly lighter adjacent cluster, its own
     one included, and that is exactly what keeps the next clustering's
-    alive boundary edges heavier than the new tree edge.
-
-    Entries are sorted by (minimum edge weight, cluster root); the
-    minimum edge per cluster breaks ties by edge id.  `adds_if_first[j]`
-    is the number of edges added if position j holds the first sampled
-    cluster: the joining edge plus every strictly lighter entry.  The
-    own entry (position `own_position`, if the node has alive neighbors
-    inside its own cluster) is never a join target — in the branch where
-    the node acts at all, its own bit is unsampled by definition.
+    alive boundary edges heavier than the new tree edge.  The own entry
+    is never a join target — in the branch where the node acts at all,
+    its own bit is unsampled by definition.
     """
 
-    own: int
-    entries: tuple[AdjEntry, ...]
+    own: int  # index of the node's cluster
+    weights: tuple[int, ...]
+    clusters: tuple[int, ...]  # index into the clustering, per entry
+    eids: tuple[int, ...]  # minimum edge into the cluster, per entry
     edges_by_entry: tuple[tuple[int, ...], ...]
-    adds_if_first: tuple[int, ...]
-    own_position: int | None
 
     @property
     def d(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
+
+    @cached_property
+    def adds_if_first(self) -> tuple[int, ...]:
+        """Edges added if position j holds the first sampled cluster."""
+        return tuple(len(decide(self.weights, j)) for j in range(self.d))
 
 
 def build_adjacency(state: BSState) -> dict[int, NodeAdjacency]:
@@ -119,32 +146,25 @@ def build_adjacency(state: BSState) -> dict[int, NodeAdjacency]:
     graph = state.graph
     member = state.clustering.membership
     clusters = state.clustering.clusters
+    index = {c.root: idx for idx, c in enumerate(clusters)}
     views: dict[int, NodeAdjacency] = {}
     for v in state.alive:
-        groups: dict[int, list[int]] = {}
-        own = member[v]
+        alive = []
         for eid in graph.adj[v]:
             if eid not in state.alive_edges:
                 continue
-            u = graph.edges[eid].other(v)
-            cu = member.get(u)
+            e = graph.edges[eid]
+            cu = member.get(e.other(v))
             if cu is None:
-                raise InvariantViolation(f"alive edge {eid} touches unclustered node {u}")
-            groups.setdefault(cu, []).append(eid)
-        entries: list[AdjEntry] = []
-        for cu, eids in groups.items():
-            best = min(eids, key=lambda i: (graph.edges[i].w, i))
-            entries.append(AdjEntry(graph.edges[best].w, clusters[cu].root, cu, best))
-        entries.sort(key=lambda a: (a.weight, a.root))
-        weights = [a.weight for a in entries]
-        adds = tuple(1 + bisect_left(weights, a.weight) for a in entries)
-        own_position = next((j for j, a in enumerate(entries) if a.cluster == own), None)
+                raise InvariantViolation(f"alive edge {eid} touches unclustered node {e.other(v)}")
+            alive.append((clusters[cu].root, e.w, eid))
+        entries, edges_by_entry = cluster_entries(alive)
         views[v] = NodeAdjacency(
-            own=own,
-            entries=tuple(entries),
-            edges_by_entry=tuple(tuple(sorted(groups[a.cluster])) for a in entries),
-            adds_if_first=adds,
-            own_position=own_position,
+            own=member[v],
+            weights=tuple(w for w, _, _ in entries),
+            clusters=tuple(index[root] for _, root, _ in entries),
+            eids=tuple(eid for _, _, eid in entries),
+            edges_by_entry=tuple(edges_by_entry),
         )
     return views
 
@@ -174,11 +194,9 @@ def run_iteration(
     added: set[int] = set()
     killed: set[int] = set()
     died: set[int] = set()
-    joiners: dict[int, list[tuple[int, int]]] = {}  # cluster idx -> [(node, parent)]
+    joiners: dict[int, list[tuple[int, int, int]]] = {}  # cluster idx -> [(node, parent, edge)]
     added_per_node: dict[int, int] = {}
     adjacent_counts: dict[int, int] = {}
-    survivor_added = 0
-    dead_added = 0
 
     for v in sorted(state.alive):
         view = views[v]
@@ -186,28 +204,17 @@ def run_iteration(
         if samples[view.own]:
             added_per_node[v] = 0
             continue
-        first = next((j for j, a in enumerate(view.entries) if samples[a.cluster]), None)
-        if first is not None:
-            target = view.entries[first]
-            take = [
-                j
-                for j, a in enumerate(view.entries)
-                if j == first or a.weight < target.weight
-            ]
-            for j in take:
-                added.add(view.entries[j].eid)
-                killed.update(view.edges_by_entry[j])
-            parent = graph.edges[target.eid].other(v)
-            joiners.setdefault(target.cluster, []).append((v, parent))
-            added_per_node[v] = len(take)
-            survivor_added += len(take)
-        else:
+        first = next((j for j, c in enumerate(view.clusters) if samples[c]), None)
+        take = decide(view.weights, first)
+        for j in take:
+            added.add(view.eids[j])
+            killed.update(view.edges_by_entry[j])
+        added_per_node[v] = len(take)
+        if first is None:
             died.add(v)
-            for j, a in enumerate(view.entries):
-                added.add(a.eid)
-            added_per_node[v] = view.d
-            dead_added += view.d
-            killed.update(eid for eid in graph.adj[v] if eid in state.alive_edges)
+        else:
+            eid = view.eids[first]
+            joiners.setdefault(view.clusters[first], []).append((v, graph.edges[eid].other(v), eid))
 
     # Assemble the output partition: sampled clusters plus their joiners.
     new_clusters: list[Cluster] = []
@@ -220,10 +227,9 @@ def run_iteration(
         members = set(c.members)
         tree_edges = set(c.tree_edges)
         radius = c.radius
-        for v, p in extra:
+        for v, p, eid in extra:
             parent[v] = p
             members.add(v)
-            eid = graph.edge_between(v, p)
             tree_edges.add(eid)
             radius = max(radius, c.depth_of(p) + 1)
         new_alive |= members
@@ -246,9 +252,7 @@ def run_iteration(
     dead_edges = dict(state.dead_edges)
     for eid in killed:
         dead_edges[eid] = i
-    stats = IterationStats(
-        added_per_node, adjacent_counts, frozenset(died), survivor_added, dead_added
-    )
+    stats = IterationStats(added_per_node, adjacent_counts, frozenset(died))
     return BSState(
         graph=graph,
         iteration=i + 1,
@@ -274,6 +278,11 @@ def random_samples(state: BSState, p: Fraction, seed: int, salt: bytes = _COIN_S
     )
 
 
+def _sampling_p(n: int, k: int) -> Fraction:
+    """The sampling probability of a k-iteration run on n nodes."""
+    return sampling_probability(n, k) if k >= 2 and n >= 2 else Fraction(0)
+
+
 def spanner_with_state(
     graph: Graph, k: int, seed: int = 0, *, weighted: bool | None = None
 ) -> tuple[EdgeSet, BSState, list[BSState]]:
@@ -282,7 +291,7 @@ def spanner_with_state(
         raise ParameterError("k must be >= 1")
     if weighted is not None and weighted != graph.weighted:
         raise ParameterError(f"graph is {'' if graph.weighted else 'un'}weighted")
-    p = sampling_probability(graph.n, k) if k >= 2 and graph.n >= 2 else Fraction(0)
+    p = _sampling_p(graph.n, k)
     state = initial_state(graph)
     history = [state]
     for i in range(1, k + 1):
@@ -363,7 +372,6 @@ class _BSNodeState:
     p: Fraction
     iteration: int  # next iteration to decide
     root: int
-    alive_edges: set[int]
     edge_root: dict[int, int]  # alive edge id -> current root of the other endpoint
     weights: dict[int, int]
     neighbor_of: dict[int, int]  # edge id -> neighbor node
@@ -378,90 +386,75 @@ class BaswanaSenProgram:
     Per iteration every node locally derives the sample coin of its own
     and of each neighboring cluster from the shared seed and the cluster
     root ids (learned from the previous round's messages), so no
-    broadcast along cluster trees is needed.  Each message packs a
-    dead flag, an edge-kill flag, and the sender's new cluster root into
-    2 + ceil(log2 n) bits.  A node halts right after deciding the
-    iteration in which it dies, so k-1 message rounds suffice; each
-    node outputs the sorted list of edge ids it added.
+    broadcast along cluster trees is needed.  A coin is a pure function
+    of its arguments, so the program derives each one once.  The step
+    itself is `cluster_entries` and `decide`, the code `run_iteration`
+    runs.  Each message packs a dead flag, an edge-kill flag, and the
+    sender's new cluster root into 2 + ceil(log2 n) bits.  A node halts
+    right after deciding the iteration in which it dies, so k-1 message
+    rounds suffice; each node outputs the sorted list of edge ids it
+    added.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ParameterError("k must be >= 1")
         self.k = k
+        self._coins: dict[tuple, bool] = {}
 
-    # -- decision logic, identical to the centralized iteration ----------
+    def _coin(self, seed: int, root: int, i: int, p: Fraction) -> bool:
+        # p enters the key as two ints: hashing a Fraction costs more than the lookup saves.
+        key = (seed, root, i, p.numerator, p.denominator, _COIN_SALT)
+        coin = self._coins.get(key)
+        if coin is None:
+            coin = self._coins[key] = derived_coin(seed, root, i, p, _COIN_SALT)
+        return coin
 
-    def _decide(self, st: _BSNodeState) -> dict[str, object]:
+    def _decide(self, st: _BSNodeState) -> tuple[bool, set[int]]:
+        """Decide the next iteration; returns (dead, killed edge ids)."""
         i = st.iteration
-        sampled_own = i < self.k and derived_coin(st.seed, st.root, i, st.p, _COIN_SALT)
-        outcome: dict[str, object] = {"dead": False, "kills": set()}
-        if sampled_own:
-            st.iteration += 1
-            return outcome
-        # Group by the neighbor's cluster root, the own cluster included:
-        # joining through weight w adds (and kills) the minimum edges into
-        # every strictly lighter group, the own one too.  The own group can
-        # never be the join target here — its coin already came up false.
-        groups: dict[int, list[int]] = {}
-        for eid in st.alive_edges:
-            groups.setdefault(st.edge_root[eid], []).append(eid)
-        entries = []
-        for root, eids in groups.items():
-            best = min(eids, key=lambda e: (st.weights[e], e))
-            entries.append((st.weights[best], root, best))
-        entries.sort(key=lambda t: (t[0], t[1]))
-        first = None
-        if i < self.k:
-            for j, (_, root, _) in enumerate(entries):
-                if derived_coin(st.seed, root, i, st.p, _COIN_SALT):
-                    first = j
-                    break
-        kills: set[int] = set()
-        adds: list[int] = []
-        if first is not None:
-            w_first, new_root, _ = entries[first]
-            for j, (w, root, eid) in enumerate(entries):
-                if j == first or w < w_first:
-                    adds.append(eid)
-                    kills.update(groups[root])
-            st.root = new_root
-        else:
-            outcome["dead"] = True
-            adds.extend(eid for _, _, eid in entries)
-            kills.update(st.alive_edges)
-        st.added.extend(adds)
-        st.alive_edges -= kills
-        outcome["kills"] = kills
         st.iteration += 1
-        return outcome
+        sampling = i < self.k
+        if sampling and self._coin(st.seed, st.root, i, st.p):
+            return False, set()
+        entries, edges_by_entry = cluster_entries(
+            (root, st.weights[eid], eid) for eid, root in st.edge_root.items()
+        )
+        first = None  # never the own cluster's entry: its coin came up false
+        if sampling:
+            first = next(
+                (j for j, (_, root, _) in enumerate(entries) if self._coin(st.seed, root, i, st.p)),
+                None,
+            )
+        take = decide([w for w, _, _ in entries], first)
+        kills = {eid for j in take for eid in edges_by_entry[j]}
+        st.added.extend(entries[j][2] for j in take)
+        for eid in kills:
+            del st.edge_root[eid]
+        if first is not None:
+            st.root = entries[first][1]
+        return first is None, kills
 
-    def _messages(
-        self, st: _BSNodeState, outcome: dict[str, object], targets: Iterable[int]
-    ) -> dict[int, bytes]:
-        out: dict[int, bytes] = {}
-        kills: set[int] = outcome["kills"]  # type: ignore[assignment]
-        for eid in targets:
-            dead = 1 if outcome["dead"] else 0
-            kill = 1 if eid in kills else 0
-            value = dead | (kill << 1) | (st.root << 2)
-            out[st.neighbor_of[eid]] = pack_bits(value, 2 + st.root_bits)
-        return out
+    def _advance(self, st: _BSNodeState):
+        """Decide, send the outcome over every edge alive before it, halt when done."""
+        targets = sorted(st.edge_root)
+        dead, kills = self._decide(st)
+        msgs = {
+            st.neighbor_of[eid]: pack_bits(dead | (eid in kills) << 1 | st.root << 2, 2 + st.root_bits)
+            for eid in targets
+        }
+        if dead or st.iteration > self.k:
+            return None, msgs, Halt(sorted(st.added))
+        return st, msgs, None
 
     # -- NodeProgram interface -------------------------------------------
 
     def init(self, view: LocalView, seed: int):
-        p = (
-            sampling_probability(view.n, self.k)
-            if self.k >= 2 and view.n >= 2
-            else Fraction(0)
-        )
         st = _BSNodeState(
             seed=seed,
-            p=p,
+            p=_sampling_p(view.n, self.k),
             iteration=1,
             root=view.node,
-            alive_edges={eid for eid, _, _ in view.incident},
             edge_root={eid: nb for eid, nb, _ in view.incident},
             weights={eid: w for eid, _, w in view.incident},
             neighbor_of={eid: nb for eid, nb, _ in view.incident},
@@ -469,43 +462,18 @@ class BaswanaSenProgram:
             added=[],
             root_bits=ceil_log2(max(view.n, 2)),
         )
-        before = set(st.alive_edges)
-        outcome = self._decide(st)
-        msgs = self._messages(st, outcome, sorted(before))
-        if outcome["dead"] or st.iteration > self.k:
-            return None, msgs, Halt(sorted(st.added))
-        return st, msgs, None
+        return self._advance(st)
 
     def step(self, st: _BSNodeState, view: LocalView, round_no: int, inbox: dict[int, bytes]):
         # Apply the neighbors' previous-iteration decisions.
         for sender, msg in inbox.items():
             eid = st.edge_of[sender]
             value = unpack_bits(msg)
-            dead = value & 1
-            kill = (value >> 1) & 1
-            root = value >> 2
-            if dead or kill:
-                st.alive_edges.discard(eid)
+            if value & 3:  # the neighbor died or killed this edge
                 st.edge_root.pop(eid, None)
-            elif eid in st.alive_edges:
-                st.edge_root[eid] = root
-        # Decide the next iteration.
-        before = set(st.alive_edges)
-        outcome = self._decide(st)
-        msgs = self._messages(st, outcome, sorted(before))
-        if outcome["dead"] or st.iteration > self.k:
-            return None, msgs, Halt(sorted(st.added))
-        return st, msgs, None
-
-
-def distributed_spanner(graph: Graph, k: int, seed: int = 0) -> BaswanaSenProgram:
-    """The NodeProgram computing a (2k-1)-spanner under the simulator.
-
-    The graph and seed arguments document the intended run configuration;
-    the simulator hands both to the program at execution time, so the
-    program object itself only needs k.
-    """
-    return BaswanaSenProgram(k)
+            elif eid in st.edge_root:
+                st.edge_root[eid] = value >> 2
+        return self._advance(st)
 
 
 def run_distributed_spanner(

@@ -105,14 +105,8 @@ class RoundTrace:
     max_message_bits: int
     per_round_messages: list[int]
     outputs: dict[int, Any]
-    logical_rounds: int = 0
-    physical_rounds: int = 0
-
-    def __post_init__(self):
-        if self.logical_rounds == 0:
-            self.logical_rounds = self.rounds_used
-        if self.physical_rounds == 0:
-            self.physical_rounds = self.rounds_used
+    logical_rounds: int
+    physical_rounds: int
 
     def to_json(self) -> str:
         def enc(x: Any) -> Any:
@@ -216,7 +210,7 @@ def run(
         pending = nxt
         per_round.append(count_sent)
 
-    return RoundTrace(rounds, max_bits, per_round, outputs)
+    return RoundTrace(rounds, max_bits, per_round, outputs, rounds, rounds)
 
 
 def run_on_cluster_graph(

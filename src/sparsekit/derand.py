@@ -127,8 +127,8 @@ class _ScaledUtility:
             tail = (d if ctx.weighted or d > ctx.tau else 0) + (n5 if d >= ctx.xi else 0)
             if not tail:
                 continue
-            keep = [j for j in range(d) if j != view.own_position]
-            clusters = tuple(view.entries[j].cluster for j in keep)
+            keep = [j for j, c in enumerate(view.clusters) if c != view.own]
+            clusters = tuple(view.clusters[j] for j in keep)
             self.nodes[v] = (view.own, clusters, tuple(view.adds_if_first[j] for j in keep), tail)
             # a node depends on its own bit and on every adjacent cluster's
             affected_sets[view.own].add(v)

@@ -78,21 +78,16 @@ def _exact_pow2_chain(alpha: int) -> tuple[bool, bool] | None:
     return True, alpha <= (1 << rhs_exp) if rhs_exp < 10**6 else True
 
 
-def x_seq_values(alpha) -> dict[str, float]:
+def _x_seq_chain(alpha) -> tuple:
+    """(alpha, x, y, z) of the chain as 60-digit mpmath numbers."""
     with mpmath.workdps(60):
         a = mpmath.mpf(alpha)
         la = mpmath.log(a, 2)
-        x = a / la
+        if la <= 2 or mpmath.log(la, 2) <= 1:
+            raise ParameterError("alpha too small for the iterated-log chain")
         y = la / mpmath.log(la, 2)
         ly = mpmath.log(y, 2)
-        z = y * (1 + 2 * mpmath.log(ly, 2) / ly)
-        return {
-            "x": float(x),
-            "y": float(y),
-            "z": float(z),
-            "lhs": float(x * mpmath.log(x, 2)),
-            "rhs": float(y**z),
-        }
+        return a, a / la, y, y * (1 + 2 * mpmath.log(ly, 2) / ly)
 
 
 def x_seq_holds(alpha) -> tuple[bool, bool]:
@@ -101,15 +96,8 @@ def x_seq_holds(alpha) -> tuple[bool, bool]:
         exact = _exact_pow2_chain(alpha)
         if exact is not None:
             return exact
+    a, x, y, z = _x_seq_chain(alpha)
     with mpmath.workdps(60):
-        a = mpmath.mpf(alpha)
-        la = mpmath.log(a, 2)
-        if la <= 2 or mpmath.log(la, 2) <= 1:
-            raise ParameterError("alpha too small for the iterated-log chain")
-        x = a / la
-        y = la / mpmath.log(la, 2)
-        ly = mpmath.log(y, 2)
-        z = y * (1 + 2 * mpmath.log(ly, 2) / ly)
         lhs = x * mpmath.log(x, 2)
         rhs = y**z
         for delta in (lhs - a, rhs - a):

@@ -169,7 +169,8 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
 
 def verify_stretch(graph: Graph, spanner: EdgeSet, alpha) -> StretchReport:
     """Check that `spanner` is an alpha-spanner of `graph` (edge-wise, exact)."""
-    if spanner.graph is not graph and spanner.graph.m != graph.m:
+    other = spanner.graph
+    if other is not graph and (other.n, other.edges) != (graph.n, graph.edges):
         raise ParameterError("spanner is not over the given graph")
     alpha = Fraction(alpha)
     ratio, worst_edge = measure_stretch(graph, spanner.ids)

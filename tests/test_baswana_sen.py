@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import statistics
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from sparsekit.baswana_sen import (
     build_adjacency,
+    decide,
     initial_state,
     random_samples,
     run_distributed_spanner,
@@ -16,6 +18,7 @@ from sparsekit.baswana_sen import (
     spanner,
     spanner_with_state,
 )
+from sparsekit.derand import deterministic_spanner
 from sparsekit.errors import ParameterError
 from sparsekit.graph import Graph
 from sparsekit.verify import apsp, verify_stretch, verify_stretch_friendly
@@ -72,6 +75,58 @@ def test_iteration_join_adds_strictly_lighter_edges():
     assert nxt.dead_edges == {0: 1, 1: 1, 3: 1, 4: 1}
     assert len(nxt.clustering.clusters) == 1
     assert nxt.clustering.clusters[0].members == frozenset([0, 1, 2, 3])
+
+
+def test_decide_by_hand():
+    # An unsampled entry of the target's weight before it is not taken.
+    assert decide([1, 2, 2, 3], 2) == [0, 2]
+    assert decide([1, 2, 2, 3], 1) == [0, 1]
+    # A target at position 0 takes only itself, whatever follows.
+    assert decide([4, 4, 5], 0) == [0]
+    assert decide([0, 7], 0) == [0]
+    # Nothing sampled: every entry is taken.
+    assert decide([1, 1, 2], None) == [0, 1, 2]
+    assert decide([], None) == []
+    # A strictly lighter entry before the target is taken (the own
+    # cluster's entry is one like any other here).
+    assert decide([2, 3], 1) == [0, 1]
+
+
+def test_join_adds_the_lighter_own_cluster_edge():
+    # Iteration 1 (clusters {0} and {3} sampled) puts 0, 1, 2 into the
+    # cluster of 0 and leaves the weight-2 edge 1-2 alive inside it.  In
+    # iteration 2 only {3} is sampled: node 1 joins it through weight 3
+    # and also adds its lighter edge into its own cluster, killing it.
+    g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 2), (1, 3, 3)])
+    st = run_iteration(initial_state(g), (True, False, False, True))
+    assert st.alive_edges == frozenset([2, 3])
+    assert [sorted(c.members) for c in st.clustering.clusters] == [[0, 1, 2], [3]]
+    view = build_adjacency(st)[1]
+    assert view.clusters == (view.own, 1) and view.weights == (2, 3)
+    assert view.adds_if_first == (1, 2)
+    nxt = run_iteration(st, (False, True))
+    assert nxt.stats.added_per_node[1] == 2
+    assert nxt.spanner == frozenset([0, 1, 2, 3])
+    assert nxt.dead_edges[2] == 2
+    assert sorted(nxt.clustering.clusters[0].members) == [1, 3]
+
+
+def test_outputs_pinned():
+    # sha256 over the sorted edge ids of every Baswana-Sen path on an
+    # all-ties unweighted graph and a weighted graph with many ties,
+    # recorded before the paths shared one decision function.
+    h = hashlib.sha256()
+    graphs = (gnp_graph(64, 0.2, seed=1), gnp_graph(64, 0.2, seed=2, weighted=True, max_weight=3))
+    for g in graphs:
+        for k in (2, 3, 4):
+            for seed in range(3):
+                h.update(repr(sorted(spanner(g, k, seed).ids)).encode())
+        h.update(repr(sorted(deterministic_spanner(g, 3).ids)).encode())
+        runs = [run_g_iterations(g, 2, Fraction(1, 4), seed) for seed in range(3)]
+        runs.append(run_g_iterations(g, 2, Fraction(1, 4), deterministic=True))
+        for edges, clustering, _ in runs:
+            h.update(repr((sorted(edges.ids), [c.root for c in clustering.clusters])).encode())
+    assert h.hexdigest() == "4cfb77a042e447bcbc3eeaa3925170b8a104091e8969f2af949ecc4bbab4eb82"
 
 
 def test_sample_vector_length_checked():

@@ -8,6 +8,7 @@ from sparsekit.baswana_sen import BaswanaSenProgram, spanner
 from sparsekit.clustering import Clustering
 from sparsekit.congest import (
     Halt,
+    RoundTrace,
     default_budget_bits,
     derive_randomness,
     derived_coin,
@@ -156,6 +157,23 @@ def test_distributed_spanner_round_bound():
     for out in trace.outputs.values():
         ids.update(out)
     assert ids == spanner(g, 3, seed=5).ids
+
+
+def test_program_reused_across_runs_matches_spanner():
+    # One program object keeps its coin memo from run to run, so the memo
+    # key must hold the seed (third run) and p, which depends on n (second
+    # run), besides root and iteration.
+    program = BaswanaSenProgram(3)
+    small = connected_gnp(24, 0.3, seed=3, weighted=True, max_weight=9)
+    large = connected_gnp(96, 0.08, seed=4, weighted=True, max_weight=9)
+    for g, seed in ((small, 1), (large, 1), (small, 2)):
+        ids = set().union(*run(g, program, seed=seed).outputs.values())
+        assert ids == spanner(g, 3, seed=seed).ids
+
+
+def test_round_trace_keeps_zero_round_counts():
+    trace = RoundTrace(3, 8, [1], {}, 0, 0)
+    assert trace.logical_rounds == 0 and trace.physical_rounds == 0
 
 
 def test_run_on_cluster_graph_trivial_matches_run():

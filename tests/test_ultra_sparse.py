@@ -8,10 +8,10 @@ import pytest
 from sparsekit.errors import ParameterError
 from sparsekit.graph import EdgeSet
 from sparsekit.ultra_sparse import (
+    _x_seq_chain,
     linear_size_spanner,
     ultra_sparse_spanner,
     x_seq_holds,
-    x_seq_values,
 )
 from sparsekit.verify import measure_stretch, verify_stretch
 
@@ -26,8 +26,8 @@ def test_x_seq_exact_boundary_case():
     # right, decided exactly (not by floating point).
     left, right = x_seq_holds(1 << 16)
     assert left and right
-    vals = x_seq_values(1 << 16)
-    assert vals["y"] == 4.0 and vals["z"] == 8.0
+    _, _, y, z = _x_seq_chain(1 << 16)
+    assert float(y) == 4.0 and float(z) == 8.0
 
 
 def test_x_seq_threshold_behavior():

@@ -103,9 +103,13 @@ def test_verify_stretch_disconnection_reports_inf():
 
 
 def test_verify_stretch_rejects_spanner_of_another_graph():
-    g, other = path_graph(4), cycle_graph(4)
-    with pytest.raises(ParameterError, match="not over the given graph"):
-        verify_stretch(g, EdgeSet(other, frozenset([3])), 3)
+    g = path_graph(4)
+    # the second graph has as many edges as g
+    for other, ids in ((cycle_graph(4), [3]), (Graph(4, [(0, 2), (2, 1), (1, 3)]), [0])):
+        with pytest.raises(ParameterError, match="not over the given graph"):
+            verify_stretch(g, EdgeSet(other, frozenset(ids)), 3)
+    # an equal graph built separately is accepted
+    assert verify_stretch(g, EdgeSet(path_graph(4), frozenset(range(3))), 1).ok
 
 
 @settings(deadline=None, max_examples=25)
