@@ -22,7 +22,7 @@ from . import __version__
 from .baswana_sen import run_distributed_spanner, spanner
 from .certificates import certificate_large_k, certificate_small_k, verify_certificate
 from .derand import deterministic_spanner
-from .errors import SparsekitError
+from .errors import ParameterError, SparsekitError
 from .generate import KINDS
 from .graph import Graph
 from .ldc import ldc_sparse_spanner, stretch_bound_ldc
@@ -187,17 +187,29 @@ def _ints(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x.strip()]
 
 
+def _setting(cfg: dict[str, str], key: str, default: str, parse):
+    """`parse` of cfg[key] (or `default`); a bad or empty value is a ParameterError naming the key."""
+    value = cfg.get(key, default)
+    try:
+        parsed = parse(value)
+        if parsed != []:
+            return parsed
+    except ValueError:
+        pass
+    raise ParameterError(f"bench config: bad value {key}={value!r}")
+
+
 def run_bench(cfg: dict[str, str]) -> str:
     algos = [a.strip() for a in cfg.get("algos", "bs").split(",")]
-    ns = _ints(cfg.get("ns", "32"))
-    ks = _ints(cfg.get("ks", "2"))
-    ts = _ints(cfg.get("ts", "4"))
-    seeds = _ints(cfg.get("seeds", "1"))
-    p_edge = float(cfg.get("p", "0.2"))
+    ns = _setting(cfg, "ns", "32", _ints)
+    ks = _setting(cfg, "ks", "2", _ints)
+    ts = _setting(cfg, "ts", "4", _ints)
+    seeds = _setting(cfg, "seeds", "1", _ints)
+    p_edge = _setting(cfg, "p", "0.2", float)
     weighted = cfg.get("weighted", "0") == "1"
     # linear-size rows only pin a meaningful size constant once the phase
     # schedule engages, hence the test-mode alpha0 in the baseline config
-    linear_alpha0 = float(cfg["linear_alpha0"]) if "linear_alpha0" in cfg else None
+    linear_alpha0 = _setting(cfg, "linear_alpha0", "", float) if "linear_alpha0" in cfg else None
     from .generate import gnp
 
     out = io.StringIO()

@@ -12,7 +12,6 @@ remembering a witness edge that achieves it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -37,6 +36,20 @@ class Cluster:
         return d
 
 
+def tree_height(root: int, parent: Mapping[int, int]) -> tuple[int, int]:
+    """(nodes reached, height) of the parent-pointer tree hanging below
+    `root`, walked down level by level; nodes on a cycle are never reached."""
+    children: dict[int, list[int]] = {}
+    for v, p in parent.items():
+        if v != p:
+            children.setdefault(p, []).append(v)
+    reached, height, frontier = 1, 0, [root]
+    while frontier := [c for v in frontier for c in children.get(v, ())]:
+        reached += len(frontier)
+        height += 1
+    return reached, height
+
+
 def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int, int]) -> Cluster:
     """Build a Cluster from parent pointers, computing tree edges and radius.
 
@@ -46,7 +59,6 @@ def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int,
     members = frozenset(parent)
     if root not in members or parent[root] != root:
         raise InvalidClusteringError(f"cluster {cluster_id}: root {root} not a fixed point")
-    children: dict[int, list[int]] = {v: [] for v in members}
     tree_edges: set[int] = set()
     for v, p in parent.items():
         if v == root:
@@ -57,20 +69,8 @@ def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int,
         if eid is None:
             raise InvalidClusteringError(f"cluster {cluster_id}: no edge between {v} and parent {p}")
         tree_edges.add(eid)
-        children[p].append(v)
-    # BFS from root: reaches everything iff the pointers form one tree.
-    radius = 0
-    seen = {root}
-    q = deque([(root, 0)])
-    while q:
-        x, d = q.popleft()
-        radius = max(radius, d)
-        for c in children[x]:
-            if c in seen:
-                raise InvalidClusteringError(f"cluster {cluster_id}: cycle at {c}")
-            seen.add(c)
-            q.append((c, d + 1))
-    if len(seen) != len(members):
+    reached, radius = tree_height(root, parent)
+    if reached != len(members):
         raise InvalidClusteringError(f"cluster {cluster_id}: parent pointers do not reach all members")
     return Cluster(cluster_id, root, members, dict(parent), frozenset(tree_edges), radius)
 
@@ -110,9 +110,6 @@ class Clustering:
 
     def __len__(self) -> int:
         return len(self.clusters)
-
-    def cluster_of(self, v: int) -> int | None:
-        return self.membership.get(v)
 
     def covered(self) -> int:
         return len(self.membership)
@@ -163,9 +160,6 @@ class ClusterGraph:
         """Original node set contracted into cluster-graph node v."""
         return self.clustering.clusters[v].members
 
-    def map_to_base(self, edge_ids: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.witness[eid] for eid in edge_ids)
-
 
 def contract(graph: Graph, clustering: Clustering) -> ClusterGraph:
     """Contract each cluster to a node; parallel edges collapse to the minimum.
@@ -210,10 +204,10 @@ def compose_spanner(
     if not clustering.is_partition(base_graph):
         raise InvalidClusteringError("compose_spanner requires a partition")
     cg = cluster_graph if cluster_graph is not None else contract(base_graph, clustering)
-    if cluster_spanner.graph is not cg.graph:
-        # Accept equivalent contractions built separately (deterministic).
-        if cluster_spanner.graph.m != cg.graph.m or cluster_spanner.graph.n != cg.graph.n:
-            raise InvalidClusteringError("cluster spanner does not match the contraction")
+    other = cluster_spanner.graph
+    # Accept equal contractions built separately (contraction is deterministic).
+    if other is not cg.graph and (other.n, other.edges) != (cg.graph.n, cg.graph.edges):
+        raise InvalidClusteringError("cluster spanner does not match the contraction")
     ids = set(clustering.all_tree_edges())
     ids.update(cg.witness[eid] for eid in cluster_spanner.ids)
     return EdgeSet(base_graph, frozenset(ids))

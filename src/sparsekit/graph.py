@@ -4,6 +4,8 @@ Nodes are the integers 0..n-1.  Edges carry dense ids 0..m-1 (their
 position in the edge list), which every other structure in the toolkit
 refers to.  Graphs are simple (no self-loops, no parallel edges) with
 nonnegative integer weights bounded by a configurable polynomial cap.
+`Graph.bfs` is the one hop traversal: multi-source, level by level,
+optionally restricted to a node set, an edge-id set and a depth.
 
 Text format (one graph per file)::
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidGraphError
 
@@ -94,9 +96,6 @@ class Graph:
     def edge(self, eid: int) -> Edge:
         return self.edges[eid]
 
-    def weight(self, eid: int) -> int:
-        return self.edges[eid].w
-
     def incident(self, v: int) -> tuple[int, ...]:
         """Edge ids incident to v."""
         return self.adj[v]
@@ -111,35 +110,51 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         return self._pair_index.get(key)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     # -- derived structure ----------------------------------------------
+
+    def bfs(
+        self,
+        sources: Iterable[int],
+        *,
+        nodes: Container[int] | None = None,
+        edges: Container[int] | None = None,
+        depth: int | None = None,
+    ) -> dict[int, int]:
+        """Hop distances from `sources`, which are all at distance 0.
+
+        Steps only into `nodes` and only along edge ids in `edges` (None
+        means no restriction) and expands no node at distance `depth`.
+        """
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(dist)
+        d = 0
+        while frontier and d != depth:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for eid in self.adj[x]:
+                    if edges is not None and eid not in edges:
+                        continue
+                    e = self.edges[eid]
+                    y = e.v if e.u == x else e.u
+                    if y not in dist and (nodes is None or y in nodes):
+                        dist[y] = d
+                        nxt.append(y)
+            frontier = nxt
+        return dist
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, ordered by minimum node."""
-        seen = [False] * self.n
+        seen: set[int] = set()
         out: list[list[int]] = []
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for eid in self.adj[x]:
-                    y = self.edges[eid].other(x)
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            comp.sort()
-            out.append(comp)
+            if s not in seen:
+                out.append(sorted(self.bfs((s,))))
+                seen.update(out[-1])
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self.bfs((0,))) == self.n
 
     def edge_subgraph(self, edge_ids: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph keeping all nodes and the given edges.
@@ -188,21 +203,22 @@ class Graph:
         head = lines[0].split()
         if len(head) != 3 or head[2] not in ("weighted", "unweighted"):
             raise InvalidGraphError(f"bad header line: {lines[0]!r}")
-        n, m = int(head[0]), int(head[1])
+        try:
+            n, m = int(head[0]), int(head[1])
+        except ValueError:
+            raise InvalidGraphError(f"bad header line: {lines[0]!r}") from None
         weighted = head[2] == "weighted"
         if len(lines) - 1 != m:
             raise InvalidGraphError(f"header says {m} edges, file has {len(lines) - 1}")
-        edges: list[tuple[int, int, int]] = []
+        edges: list[tuple[int, ...]] = []
         for ln in lines[1:]:
             parts = ln.split()
-            if weighted:
-                if len(parts) != 3:
-                    raise InvalidGraphError(f"bad weighted edge line: {ln!r}")
-                edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
-            else:
-                if len(parts) != 2:
-                    raise InvalidGraphError(f"bad unweighted edge line: {ln!r}")
-                edges.append((int(parts[0]), int(parts[1]), 1))
+            if len(parts) != (3 if weighted else 2):
+                raise InvalidGraphError(f"bad {head[2]} edge line: {ln!r}")
+            try:
+                edges.append(tuple(int(x) for x in parts))
+            except ValueError:
+                raise InvalidGraphError(f"non-integer field in edge line: {ln!r}") from None
         return cls(n, edges, weighted=weighted)
 
     def write(self, path: str | Path) -> None:

@@ -9,7 +9,9 @@ ball.  Deleted annuli can hide full-metric shortcuts between later
 clusters, so each candidate is additionally checked — by exact BFS in
 the carve's input graph — to be more than t away from every emitted
 cluster, and demoted to sacrificed otherwise; separation therefore
-holds by construction and the remaining guarantees are asserted.
+holds by construction and the remaining guarantees are asserted.  Every
+hop distance here (balls, guards, separation checks, root
+eccentricities, Steiner-tree sweeps) comes from `Graph.bfs`.
 
 `grow_and_cut` turns the carve into a complete clustering plus a small
 set of inter-cluster edges: each step carves a 10t-separated clustering
@@ -32,8 +34,10 @@ Steiner trees (weak diameter) with bounded average overlap.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from scipy.sparse import csr_matrix
@@ -43,23 +47,6 @@ from .clustering import Clustering
 from .errors import InvalidClusteringError, InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
 from .rational import ceil_log2
-
-
-def _bfs_dist(graph: Graph, sources: Iterable[int], allowed: frozenset[int], depth: int | None = None):
-    """Hop distances from a source set inside graph[allowed]."""
-    dist: dict[int, int] = {s: 0 for s in sources}
-    q = deque(dist)
-    while q:
-        x = q.popleft()
-        d = dist[x]
-        if depth is not None and d >= depth:
-            continue
-        for eid in graph.adj[x]:
-            y = graph.edges[eid].other(x)
-            if y in allowed and y not in dist:
-                dist[y] = d + 1
-                q.append(y)
-    return dist
 
 
 def _induced_diameter(graph: Graph, members: frozenset[int]) -> int:
@@ -103,18 +90,22 @@ class SeparatedClustering:
 
     clustering: Clustering
     t_sep: int
-    diameters: tuple[int, ...]  # exact induced diameter per cluster
     universe: frozenset[int]  # the node set the carve ran on
     demoted: int  # candidates dropped by the full-metric separation guard
+    graph: Graph
+
+    @cached_property
+    def diameters(self) -> tuple[int, ...]:
+        """Exact induced diameter per cluster, computed on first use."""
+        return tuple(_induced_diameter(self.graph, c.members) for c in self.clustering.clusters)
 
     def validate(self, graph: Graph) -> None:
+        member = self.clustering.membership
         for i, c in enumerate(self.clustering.clusters):
-            reach = _bfs_dist(graph, c.members, self.universe, depth=self.t_sep)
-            for j, c2 in enumerate(self.clustering.clusters):
-                if i < j and any(v in reach for v in c2.members):
-                    raise InvariantViolation(
-                        f"clusters {i} and {j} are within distance {self.t_sep}"
-                    )
+            reach = graph.bfs(c.members, nodes=self.universe, depth=self.t_sep)
+            near = [member[v] for v in reach if member.get(v, i) > i]
+            if near:
+                raise InvariantViolation(f"clusters {i} and {min(near)} are within distance {self.t_sep}")
         if 2 * sum(len(c.members) for c in self.clustering.clusters) < len(self.universe):
             raise InvariantViolation("carve clustered fewer than half the nodes")
 
@@ -134,34 +125,28 @@ def carve_clustering(
     remaining = set(universe)
     r_cap = t_sep * max(1, ceil_log2(max(len(universe), 2)))
     emitted: list[tuple[int, dict[int, int]]] = []  # (root, parent map)
+    ecc: dict[int, int] = {}  # root -> eccentricity in its cluster
     clustered: set[int] = set()
     demoted = 0
 
     while remaining:
         v = min(remaining)
-        allowed = frozenset(remaining)
-        dist = _bfs_dist(graph, (v,), allowed)
-        reach = max(dist.values())
-        size_at = [0] * (reach + 1)
-        for d in dist.values():
-            size_at[d] += 1
-        for d in range(1, reach + 1):
-            size_at[d] += size_at[d - 1]
-
-        def ball(r: int) -> int:
-            return size_at[min(r, reach)]
-
-        r_star = next(r for r in range(reach + 1) if ball(r + t_sep) < 2 * ball(r))
+        dist = graph.bfs((v,), nodes=remaining)
+        layers = Counter(dist.values())
+        ball = list(accumulate(layers[r] for r in range(len(layers))))  # ball[r] = |B(v, r)|
+        reach = len(ball) - 1
+        r_star = next(r for r in range(reach + 1) if ball[min(r + t_sep, reach)] < 2 * ball[r])
         if r_star > r_cap:
             raise InvariantViolation(f"carve radius {r_star} exceeds cap {r_cap}")
         members = frozenset(u for u, d in dist.items() if d <= r_star)
         # Full-metric guard: the candidate must sit > t_sep from every
         # emitted cluster within the carve's input graph.
-        guard = _bfs_dist(graph, members, universe, depth=t_sep)
+        guard = graph.bfs(members, nodes=universe, depth=t_sep)
         if any(u in clustered for u in guard):
             demoted += 1
         else:
             emitted.append((v, _bfs_parents(graph, v, members, dist)))
+            ecc[v] = r_star
             clustered |= members
         remaining -= {u for u, d in dist.items() if d <= r_star + t_sep}
 
@@ -171,14 +156,13 @@ def carve_clustering(
         raise InvariantViolation(
             f"coverage {len(clustered)}/{len(universe)} below one half"
         )
+    # diam <= 2 ecc(root) <= 2 r_cap = the cap, so the exact diameter runs
+    # only if that certificate fails, which a correct run never sees.
     diam_bound = diameter_cap(len(universe), t_sep)
-    diameters = []
     for c in clustering.clusters:
-        d = _induced_diameter(graph, c.members)
-        if d > diam_bound:
+        if 2 * ecc[c.root] > diam_bound and (d := _induced_diameter(graph, c.members)) > diam_bound:
             raise InvariantViolation(f"cluster diameter {d} exceeds {diam_bound}")
-        diameters.append(d)
-    result = SeparatedClustering(clustering, t_sep, tuple(diameters), universe, demoted)
+    result = SeparatedClustering(clustering, t_sep, universe, demoted, graph)
     result.validate(graph)
     return result
 
@@ -222,7 +206,7 @@ def _check_step_invariants(
     # run never sees: ecc <= r_carve + j <= 10t*ceil(log n) + 4t - 1, so
     # 2 ecc < diameter_cap(n, 10t) + 10t.
     for idx, (root, _, members) in enumerate(clusters[base:], base):
-        dist = _bfs_dist(graph, (root,), members)
+        dist = graph.bfs((root,), nodes=members)
         if len(dist) == len(members) and 2 * max(dist.values()) <= diam_bound:
             continue
         if _induced_diameter(graph, members) > diam_bound:
@@ -271,10 +255,8 @@ def grow_and_cut(
         grown = 0
         new_local: list[tuple[int, dict[int, int], frozenset[int]]] = []
         for c in carve.clustering.clusters:
-            dist = _bfs_dist(graph, c.members, vi, depth=4 * t)
-            layer = [0] * (4 * t + 1)
-            for d in dist.values():
-                layer[d] += 1
+            dist = graph.bfs(c.members, nodes=vi, depth=4 * t)
+            layer = Counter(dist.values())
             # Cutting distance j is good when C^{+j} has at most |C|/t
             # neighboring nodes in G_i, i.e. layer[j+1] * t <= |C|.
             good_j = next(
@@ -284,7 +266,7 @@ def grow_and_cut(
                 bad_mass += len(c.members)
                 continue
             members = frozenset(u for u, d in dist.items() if d <= good_j)
-            tree_dist = _bfs_dist(graph, (c.root,), members)
+            tree_dist = graph.bfs((c.root,), nodes=members)
             if len(tree_dist) != len(members):
                 raise InvariantViolation("grown cluster not connected")
             new_local.append((c.root, _bfs_parents(graph, c.root, members, tree_dist), members))
@@ -337,7 +319,7 @@ def grow_and_cut(
 # ---------------------------------------------------------------------------
 
 
-def ldc_sparse_spanner(graph: Graph, t: int, *, with_report: bool = False):
+def ldc_sparse_spanner(graph: Graph, t: int) -> EdgeSet:
     """Unweighted spanner with at most n + ceil(n/t) edges.
 
     Cluster trees plus the bridge ledger; stretch is O(diameter) and is
@@ -353,8 +335,6 @@ def ldc_sparse_spanner(graph: Graph, t: int, *, with_report: bool = False):
         raise InvariantViolation(
             f"spanner has {len(out)} edges, cap {graph.n + math.ceil(graph.n / t)}"
         )
-    if with_report:
-        return out, clustering, ledger
     return out
 
 
@@ -390,14 +370,15 @@ def strong_primitive(t_sep: int = 3) -> ClusteringPrimitive:
     return prim
 
 
-def _validate_weak(graph: Graph, alive: frozenset[int], cs: list[WeakCluster]) -> None:
-    seen: set[int] = set()
-    for wc in cs:
+def _validate_weak(graph: Graph, alive: frozenset[int], cs: list[WeakCluster]) -> dict[int, int]:
+    """Check the primitive's output; returns node -> index of its cluster."""
+    member: dict[int, int] = {}
+    for i, wc in enumerate(cs):
         if not wc.members or not wc.members <= alive or not wc.tree_nodes <= alive:
             raise InvalidClusteringError("weak cluster leaves the alive node set")
-        if wc.members & seen:
+        if wc.members & member.keys():
             raise InvalidClusteringError("weak clusters overlap")
-        seen |= wc.members
+        member.update(dict.fromkeys(wc.members, i))
         if not wc.members <= wc.tree_nodes:
             raise InvalidClusteringError("tree does not contain its cluster")
         if len(wc.tree_edges) != len(wc.tree_nodes) - 1:
@@ -406,52 +387,27 @@ def _validate_weak(graph: Graph, alive: frozenset[int], cs: list[WeakCluster]) -
             e = graph.edges[eid]
             if e.u not in wc.tree_nodes or e.v not in wc.tree_nodes:
                 raise InvalidClusteringError("tree edge leaves its node set")
-        if len(wc.tree_nodes) > 1:  # edge count + BFS reach = connected tree
-            start = next(iter(wc.tree_nodes))
-            reached = {start}
-            q = deque([start])
-            while q:
-                x = q.popleft()
-                for eid in graph.adj[x]:
-                    if eid in wc.tree_edges:
-                        y = graph.edges[eid].other(x)
-                        if y not in reached:
-                            reached.add(y)
-                            q.append(y)
-            if reached != wc.tree_nodes:
-                raise InvalidClusteringError("T_C is not connected")
-    if 2 * len(seen) < len(alive):
+        # edge count + reach along the tree edges = connected tree
+        if graph.bfs((next(iter(wc.tree_nodes)),), edges=wc.tree_edges).keys() != wc.tree_nodes:
+            raise InvalidClusteringError("T_C is not connected")
+    if 2 * len(member) < len(alive):
         raise InvalidClusteringError("primitive clustered fewer than half the nodes")
-    # 3-separation inside graph[alive]
+    # 3-separation inside graph[alive]: no later cluster within 2 hops
     for i, wc in enumerate(cs):
-        reach = _bfs_dist(graph, wc.members, alive, depth=2)
-        for j, other in enumerate(cs):
-            if i < j and any(v in reach for v in other.members):
-                raise InvalidClusteringError("primitive clustering is not 3-separated")
+        if any(member.get(v, i) > i for v in graph.bfs(wc.members, nodes=alive, depth=2)):
+            raise InvalidClusteringError("primitive clustering is not 3-separated")
+    return member
 
 
 def _tree_diameter(graph: Graph, wc: WeakCluster) -> int:
-    if len(wc.tree_nodes) <= 1:
-        return 0
-    allowed = wc.tree_nodes
+    """Double sweep along the (validated) tree edges."""
 
     def far(start: int) -> tuple[int, int]:
-        dist = {start: 0}
-        q = deque([start])
-        while q:
-            x = q.popleft()
-            for eid in graph.adj[x]:
-                if eid in wc.tree_edges:
-                    y = graph.edges[eid].other(x)
-                    if y in allowed and y not in dist:
-                        dist[y] = dist[x] + 1
-                        q.append(y)
-        v = max(dist, key=lambda u: (dist[u], u))
-        return v, dist[v]
+        dist = graph.bfs((start,), edges=wc.tree_edges)
+        return max(dist.items(), key=lambda vd: (vd[1], vd[0]))
 
     a, _ = far(next(iter(wc.tree_nodes)))
-    _, d = far(a)
-    return d
+    return far(a)[1]
 
 
 def weak_diameter_spanner(
@@ -479,13 +435,10 @@ def weak_diameter_spanner(
         if rounds > 2 * ceil_log2(max(graph.n, 2)) + 4:
             raise InvariantViolation("weak-diameter rounds exceeded 2 log n")
         cs = primitive(graph, alive)
-        _validate_weak(graph, alive, cs)
-        member: dict[int, int] = {}
-        for i, wc in enumerate(cs):
+        member = _validate_weak(graph, alive, cs)
+        for wc in cs:
             ids.update(wc.tree_edges)
             max_diam = max(max_diam, _tree_diameter(graph, wc))
-            for v in wc.members:
-                member[v] = i
         size_budget += sum(len(wc.tree_nodes) for wc in cs) + len(alive)
         for v in sorted(alive - set(member)):
             touched: dict[int, int] = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .clustering import Cluster, Clustering
+from .clustering import Clustering, tree_height
 from .errors import InvariantViolation, ParameterError
 from .graph import Graph
 from .verify import verify_stretch_friendly
@@ -185,23 +185,10 @@ class TreeCluster:
         self.root = new_root
 
     def radius(self) -> int:
-        children: dict[int, list[int]] = {v: [] for v in self.members}
-        for v, p in self.parent.items():
-            if v != p:
-                children[p].append(v)
-        depth = 0
-        frontier = [self.root]
-        seen = 1
-        while True:
-            nxt = [c for v in frontier for c in children[v]]
-            if not nxt:
-                break
-            depth += 1
-            seen += len(nxt)
-            frontier = nxt
-        if seen != len(self.members):
+        reached, height = tree_height(self.root, self.parent)
+        if reached != len(self.members):
             raise InvariantViolation("work cluster tree does not span its members")
-        return depth
+        return height
 
 
 @dataclass
@@ -387,17 +374,14 @@ def partition_with_report(
             if not rep.ok:
                 raise InvariantViolation(f"round {level}: {rep}")
     clustering = Clustering.from_parent_maps(graph, [(c.root, c.parent) for c in clusters])
-    comp_cluster: dict[int, set[int]] = {}
-    for idx, comp in enumerate(graph.components()):
-        comp_cluster[idx] = {clustering.membership[v] for v in comp}
+    comps = graph.components()
+    comp_clusters = [{clustering.membership[v] for v in comp} for comp in comps]
     undersized = tuple(
-        tuple(comp)
-        for idx, comp in enumerate(graph.components())
-        if len(comp) < t and len(comp_cluster[idx]) == 1
+        tuple(comp) for comp, cids in zip(comps, comp_clusters) if len(comp) < t and len(cids) == 1
     )
-    for idx, comp in enumerate(graph.components()):
+    for comp, cids in zip(comps, comp_clusters):
         if len(comp) >= t:
-            for ci in comp_cluster[idx]:
+            for ci in cids:
                 if len(clustering.clusters[ci].members) < t:
                     raise InvariantViolation(
                         f"component with {len(comp)} nodes kept a cluster of size "

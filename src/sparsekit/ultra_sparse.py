@@ -277,8 +277,6 @@ def ultra_sparse_spanner(
         inner_edges = inner(cg.graph)
         composed = compose_spanner(graph, clustering, inner_edges, cluster_graph=cg)
         if len(composed) <= bound:
-            if not with_report:
-                return composed
             inner_stretch = stretch = stretch_bound = None
             if verify:
                 inner_stretch, _ = measure_stretch(cg.graph, inner_edges.ids)
@@ -290,6 +288,8 @@ def ultra_sparse_spanner(
                         raise InvariantViolation(
                             f"composed stretch {stretch} exceeds bound {stretch_bound}"
                         )
+            if not with_report:
+                return composed
             report = UltraSparseReport(
                 t=t,
                 t_used=tp,

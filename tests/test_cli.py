@@ -141,3 +141,21 @@ def test_certificate_cmd_on_empty_graph(tmp_path, variant):
     report = json.loads(r.stdout)
     assert report["n"] == 0 and report["edges"] == 0
     assert report["verify_ok"] and report["verify_detail"] == {"cuts_checked": "0"}
+
+
+@pytest.mark.parametrize(
+    "text", ["3 1 weighted\n0 1 x\n", "3 1 weighted\n0 1 1.5\n", "3 two weighted\n0 1 1\n"]
+)
+def test_malformed_graph_file_exits_2(tmp_path, capsys, text):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    assert main(["spanner", "-i", str(gpath), "--algo", "bs"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line, key", [("ns=abc", "ns"), ("p=x", "p"), ("seeds=", "seeds")])
+def test_malformed_bench_config_exits_2(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"algos=bs\nks=2\n{line}\n")
+    assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "out.csv")]) == 2
+    assert f" {key}=" in capsys.readouterr().err

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from sparsekit.clustering import Cluster, Clustering, build_cluster, compose_spanner, contract
+from sparsekit.clustering import Cluster, Clustering, build_cluster, compose_spanner, contract, tree_height
 from sparsekit.errors import InvalidClusteringError
 from sparsekit.graph import EdgeSet, Graph
 from sparsekit.verify import verify_stretch
 
-from conftest import cycle_graph, gnp_graph
+from conftest import cycle_graph, gnp_graph, path_graph
 
 
 def two_node_clusters(graph, pairs):
@@ -76,8 +76,16 @@ def test_cluster_tree_validation():
         build_cluster(g, 0, 0, {0: 0, 1: 0, 3: 1})  # parent outside members? 1 is inside; no edge 3-1
     with pytest.raises(InvalidClusteringError):
         build_cluster(g, 0, 0, {0: 0, 2: 0})  # no edge 0-2
+    with pytest.raises(InvalidClusteringError, match="do not reach all members"):
+        build_cluster(g, 0, 0, {0: 0, 1: 2, 2: 1})  # 1 and 2 point at each other
     c = build_cluster(g, 0, 0, {0: 0, 1: 0, 2: 1})
     assert c.radius == 2 and c.tree_edges == frozenset([0, 1])
+
+
+def test_tree_height():
+    assert tree_height(0, {0: 0}) == (1, 0)
+    assert tree_height(0, {0: 0, 1: 0, 2: 1, 3: 0, 4: 2}) == (5, 3)
+    assert tree_height(0, {0: 0, 1: 0, 2: 3, 3: 2}) == (2, 1)  # the 2-3 cycle is never reached
 
 
 def test_compose_spanner_trivial_partition():
@@ -98,6 +106,17 @@ def test_compose_spanner_single_cluster_is_tree_only():
     cg = contract(g, cl)
     out = compose_spanner(g, cl, EdgeSet(cg.graph, frozenset()), cluster_graph=cg)
     assert len(out) == 5  # the spanning path only
+
+
+def test_compose_spanner_rejects_spanner_of_another_graph():
+    # Same n and m as the contraction of the path 0-1-2-3, other edges.
+    g = path_graph(4)
+    cl = Clustering.trivial(g)
+    cg = contract(g, cl)
+    with pytest.raises(InvalidClusteringError, match="does not match the contraction"):
+        compose_spanner(g, cl, EdgeSet(Graph(4, [(0, 2), (2, 1), (1, 3)]), frozenset([0])), cluster_graph=cg)
+    equal = contract(g, cl).graph  # built separately, equal edges
+    assert compose_spanner(g, cl, EdgeSet(equal, frozenset([0])), cluster_graph=cg).ids == frozenset([0])
 
 
 def test_compose_spanner_requires_partition():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekit.errors import InvalidGraphError
 from sparsekit.graph import EdgeSet, Graph
@@ -59,6 +62,10 @@ def test_text_format_errors():
         Graph.from_text("3 1 directed\n0 1 2\n")
     with pytest.raises(InvalidGraphError):
         Graph.from_text("3 2 weighted\n0 1 2\n")  # edge count mismatch
+    bad_fields = ("3 1 weighted\n0 1 x\n", "3 1 weighted\n0 1 1.5\n", "3 two weighted\n0 1 1\n", "2 1 unweighted\n0 y\n")
+    for text in bad_fields:
+        with pytest.raises(InvalidGraphError):
+            Graph.from_text(text)
 
 
 def test_edge_subgraph_remaps_densely():
@@ -88,3 +95,36 @@ def test_edgeset_rejects_bad_ids():
     g = Graph(3, [(0, 1, 1)])
     with pytest.raises(InvalidGraphError):
         EdgeSet(g, frozenset([5]))
+
+
+@st.composite
+def bfs_cases(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [], weighted=False)
+    sources = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    nodes = draw(st.none() | st.frozensets(st.integers(0, n - 1)))
+    edges = draw(st.none() | st.frozensets(st.integers(0, g.m)))
+    depth = draw(st.none() | st.integers(0, n))
+    return g, sources, nodes, edges, depth
+
+
+@settings(deadline=None, max_examples=300)
+@given(bfs_cases())
+def test_bfs_matches_networkx(case):
+    # Graph.bfs against networkx from a super-source joined to every
+    # source, on the subgraph the node and edge restrictions leave.
+    g, sources, nodes, edges, depth = case
+    keep = set(range(g.n)) if nodes is None else nodes | sources
+    h = nx.Graph()
+    h.add_nodes_from(keep)
+    h.add_edges_from(
+        (e.u, e.v) for e in g.edges if (edges is None or e.id in edges) and e.u in keep and e.v in keep
+    )
+    h.add_edges_from(("s", v) for v in sources)
+    cutoff = None if depth is None else depth + 1
+    reach = nx.single_source_shortest_path_length(h, "s", cutoff=cutoff)
+    expected = {v: d - 1 for v, d in reach.items() if v != "s"}
+    dist = g.bfs(sources, nodes=nodes, edges=edges, depth=depth)
+    assert dist == expected
+    assert list(dist.values()) == sorted(dist.values())  # level by level

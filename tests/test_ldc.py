@@ -200,8 +200,8 @@ def exact_calls(monkeypatch):
 
 def test_root_eccentricity_certificate_holds(rng, monkeypatch, exact_calls):
     # 2 ecc(root) is within the diameter bound for every carved and every
-    # grown cluster, so the exact diameter runs once per carved cluster
-    # (its exact `diameters`) and never as invariant 1's fallback.
+    # grown cluster, so the exact diameter never runs: not as the carve's
+    # fallback, not as invariant 1's, and `diameters` is computed lazily.
     carved = []
     carve = ldc.carve_clustering
 
@@ -226,7 +226,7 @@ def test_root_eccentricity_certificate_holds(rng, monkeypatch, exact_calls):
                 cap = diameter_cap(len(sc.universe), sc.t_sep)
                 for c in sc.clustering.clusters:
                     assert 2 * nx.eccentricity(nxg.subgraph(c.members), v=c.root) <= cap
-            assert len(exact_calls) == sum(len(sc.clustering.clusters) for sc in carved)
+            assert exact_calls == []
 
 
 def test_zero_diameter_cap_still_raises(monkeypatch):
@@ -371,6 +371,22 @@ def test_weak_spanner_rejects_non_separated_primitive():
 
     with pytest.raises(InvalidClusteringError):
         weak_diameter_spanner(g, primitive)
+
+
+def test_weak_spanner_rejects_disconnected_tree():
+    # A triangle plus a separate edge: |edges| = |nodes| - 1, but no tree.
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)], weighted=False)
+    wc = WeakCluster(frozenset(range(5)), frozenset(range(5)), frozenset(range(4)))
+    with pytest.raises(InvalidClusteringError, match="T_C is not connected"):
+        weak_diameter_spanner(g, lambda graph, alive: [wc])
+
+
+def test_tree_diameter_double_sweep():
+    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (0, 6)], weighted=False)
+    whole = WeakCluster(frozenset([0]), frozenset(range(7)), frozenset(range(6)))
+    assert ldc._tree_diameter(spider, whole) == 5  # 2-1-0-3-4-5
+    single = WeakCluster(frozenset([6]), frozenset([6]), frozenset())
+    assert ldc._tree_diameter(spider, single) == 0
 
 
 # -- pinned outputs -----------------------------------------------------------

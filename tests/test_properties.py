@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 from hypothesis import given, settings
@@ -103,3 +104,41 @@ def test_ultra_sparse_bound_property(seed, t):
     g = gnp_graph(40, 0.2, seed=seed, weighted=seed % 2 == 0, max_weight=20)
     out = ultra_sparse_spanner(g, t)
     assert len(out) <= g.n + math.ceil(g.n / t)
+
+
+def test_hop_outputs_pinned():
+    # sha256 over the outputs of every construction built on hop
+    # traversals, on a weighted and an unweighted gnp (both disconnected)
+    # and a grid, recorded before those traversals shared one BFS.
+    from sparsekit.generate import gnp, grid
+    from sparsekit.ldc import carve_clustering, grow_and_cut, ldc_sparse_spanner, weak_diameter_spanner
+    from sparsekit.stretch_friendly import partition_with_report
+    from sparsekit.ultra_sparse import ultra_sparse_spanner
+
+    def trees(clustering):
+        return [(c.root, sorted(c.parent.items())) for c in clustering.clusters]
+
+    h = hashlib.sha256()
+    graphs = (
+        gnp(150, 0.03, seed=5),
+        gnp(150, 0.03, seed=6, weighted=True, max_weight=20),
+        grid(9, 13, seed=7),
+    )
+    for g in graphs:
+        for t in (2, 4, 8):
+            cl, report = partition_with_report(g, t)
+            h.update(repr((trees(cl), report)).encode())
+        for t_sep in (1, 3):
+            sc = carve_clustering(g, t_sep)
+            h.update(repr((trees(sc.clustering), sc.diameters, sc.demoted)).encode())
+        for t in (1, 2):
+            cl, ledger, steps = grow_and_cut(g, t, with_report=True)
+            h.update(repr((trees(cl), sorted(ledger.witness.items()), steps)).encode())
+        for t in (2, 8):
+            h.update(repr(sorted(ultra_sparse_spanner(g, t).ids)).encode())
+        out, report = weak_diameter_spanner(g, with_report=True)
+        h.update(repr((sorted(out.ids), sorted(report.items()))).encode())
+        if not g.weighted:
+            for t in (2, 4):
+                h.update(repr(sorted(ldc_sparse_spanner(g, t).ids)).encode())
+    assert h.hexdigest() == "4f6ede48837dc5635099d5b1dd323bca7787264ee377078f6cbc8bbfaad07692"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sparsekit import ultra_sparse
 from sparsekit.errors import ParameterError
 from sparsekit.graph import EdgeSet
 from sparsekit.ultra_sparse import (
@@ -126,6 +127,20 @@ def test_ultra_sparse_composition_stretch_certificate():
         assert rep.stretch is not None and rep.stretch_bound is not None
         assert Fraction(rep.stretch) <= rep.stretch_bound
         assert verify_stretch(g, out, rep.stretch_bound).ok
+
+
+def test_ultra_sparse_verify_without_report(monkeypatch):
+    calls = []
+    measure = ultra_sparse.measure_stretch
+
+    def spy(graph, sub_edges):
+        calls.append(graph.n)
+        return measure(graph, sub_edges)
+
+    monkeypatch.setattr(ultra_sparse, "measure_stretch", spy)
+    g = connected_gnp(48, 0.12, seed=8)
+    out = ultra_sparse_spanner(g, 4, verify=True)
+    assert isinstance(out, EdgeSet) and calls[-1] == g.n and len(calls) == 2
 
 
 def test_ultra_sparse_rejects_bad_t():
