@@ -17,7 +17,6 @@ from .baswana_sen import (
     run_g_iterations,
     run_iteration,
     spanner,
-    spanner_with_state,
 )
 from .certificates import (
     certificate_large_k,

@@ -21,6 +21,11 @@ utility reads `NodeAdjacency.adds_if_first`, and the message-passing
 `BaswanaSenProgram` calls them directly.  Cluster sampling coins are
 derived per (seed, cluster root, iteration), which is what lets the
 message-passing version reproduce the centralized run bit for bit.
+
+The loop around the step is written once too: `run_iterations` runs g
+sampled iterations, seeded or derandomized, and `final_pass` runs the
+sample-nothing iteration and asserts that nothing survives it.  The
+seeded, derandomized and linear-size spanners are built from these two.
 """
 
 from __future__ import annotations
@@ -283,33 +288,59 @@ def _sampling_p(n: int, k: int) -> Fraction:
     return sampling_probability(n, k) if k >= 2 and n >= 2 else Fraction(0)
 
 
-def spanner_with_state(
-    graph: Graph, k: int, seed: int = 0, *, weighted: bool | None = None
-) -> tuple[EdgeSet, BSState, list[BSState]]:
-    """Randomized (2k-1)-spanner; also returns the final state and history."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    if weighted is not None and weighted != graph.weighted:
-        raise ParameterError(f"graph is {'' if graph.weighted else 'un'}weighted")
-    p = _sampling_p(graph.n, k)
-    state = initial_state(graph)
-    history = [state]
-    for i in range(1, k + 1):
-        if i < k:
-            samples = random_samples(state, p, seed)
+def run_iterations(
+    state: BSState,
+    g: int,
+    p: Fraction,
+    seed: int = 0,
+    *,
+    salt: bytes = _COIN_SALT,
+    deterministic: bool = False,
+    iota: int = 64,
+    enforce_budget: bool = True,
+) -> BSState:
+    """The g sampled iterations of one run at probability p, from `state`:
+    seeded coins, or :mod:`sparsekit.derand` bit fixing if `deterministic`."""
+    from . import derand  # imports this module, so it cannot be imported at the top
+    for j in range(1, g + 1):
+        views = build_adjacency(state)
+        ctx = None
+        if p == 0:
+            samples: SampleVector = (False,) * len(state.clustering.clusters)
+        elif deterministic:
+            ctx = derand.UtilityContext.create(
+                n=state.graph.n, iteration=j, p=p, g=g, weighted=state.graph.weighted, iota=iota
+            )
+            samples = derand.fix_bits(state, ctx, enforce_target=enforce_budget, views=views)
         else:
-            samples = (False,) * len(state.clustering.clusters)
-        state = run_iteration(state, samples)
-        history.append(state)
+            samples = random_samples(state, p, seed, salt)
+        state = run_iteration(state, samples, views=views)
+        if ctx is not None and enforce_budget:
+            derand.check_objectives(state, ctx)
+    return state
+
+
+def final_pass(state: BSState) -> BSState:
+    """The sample-nothing iteration: every alive node dies, so nothing may survive."""
+    state = run_iteration(state, (False,) * len(state.clustering.clusters))
     if state.alive or state.alive_edges:
         raise InvariantViolation("nodes or edges survived the final iteration")
-    return EdgeSet(graph, state.spanner), state, history
+    return state
 
 
-def spanner(graph: Graph, k: int, seed: int = 0, *, weighted: bool | None = None) -> EdgeSet:
+def _spanner(graph: Graph, k: int, seed: int = 0, **sampler) -> EdgeSet:
+    """k-1 sampled iterations at `_sampling_p(n, k)`, then the final pass."""
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    p = _sampling_p(graph.n, k)  # 0 when k = 1 or n <= 1: the final pass alone does the work
+    state = run_iterations(initial_state(graph), k - 1 if p else 0, p, seed, **sampler)
+    return EdgeSet(graph, final_pass(state).spanner)
+
+
+def spanner(graph: Graph, k: int, seed: int = 0) -> EdgeSet:
     """Randomized (2k-1)-spanner with expected O(nk + n^(1+1/k) log k) edges
     (unweighted; O(n^(1+1/k) k) weighted)."""
-    return spanner_with_state(graph, k, seed, weighted=weighted)[0]
+    return _spanner(graph, k, seed)
 
 
 def run_g_iterations(
@@ -332,32 +363,14 @@ def run_g_iterations(
     :mod:`sparsekit.derand`.
     """
     p = Fraction(p)
-    n = graph.n
     if g < 0:
         raise ParameterError("g must be >= 0")
-    if p != 0 and n >= 2 and not (Fraction(1, n) < p < 1):
+    if p != 0 and graph.n >= 2 and not (Fraction(1, graph.n) < p < 1):
         raise ParameterError(f"p={p} outside (1/n, 1)")
-    state = initial_state(graph)
-    if g == 0:
-        return EdgeSet(graph, frozenset()), state.clustering, state
-    if deterministic:
-        from .derand import UtilityContext, check_objectives, fix_bits
-
-    for j in range(1, g + 1):
-        ctx = None
-        views = build_adjacency(state)
-        if p == 0:
-            samples: SampleVector = (False,) * len(state.clustering.clusters)
-        elif deterministic:
-            ctx = UtilityContext.create(
-                n=n, iteration=j, p=p, g=g, weighted=graph.weighted, iota=iota
-            )
-            samples = fix_bits(state, ctx, enforce_target=enforce_budget, views=views)
-        else:
-            samples = random_samples(state, p, seed, salt)
-        state = run_iteration(state, samples, views=views)
-        if ctx is not None and enforce_budget:
-            check_objectives(state, ctx)
+    state = run_iterations(
+        initial_state(graph), g, p, seed,
+        salt=salt, deterministic=deterministic, iota=iota, enforce_budget=enforce_budget,
+    )
     return EdgeSet(graph, state.spanner), state.clustering, state
 
 

@@ -44,6 +44,8 @@ CUT_ENUM_LIMIT = 18
 def _frac(eps) -> Fraction:
     """Decimal-friendly parameter conversion (0.1 means exactly 1/10)."""
     if isinstance(eps, float):
+        if not math.isfinite(eps):
+            raise ParameterError(f"eps must be finite, got {eps}")
         return Fraction(str(eps))
     return Fraction(eps)
 

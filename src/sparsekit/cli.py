@@ -97,17 +97,14 @@ def cmd_spanner(args) -> int:
     if args.verify:
         if alpha is not None:
             rep = verify_stretch(graph, edges, alpha)
-            ratio, worst = rep.worst_ratio, rep.worst_edge
-        else:
-            ratio, worst = measure_stretch(graph, edges.ids)
-        report["measured_stretch"] = _fmt(ratio)
-        report["worst_edge"] = worst
-        if alpha is not None:
+            ratio, worst, ok = rep.worst_ratio, rep.worst_edge, rep.ok
             report["stretch_bound"] = _fmt(Fraction(alpha))
             report["stretch_ok"] = rep.ok
-            ok = ok and rep.ok
         else:
-            ok = ok and not math.isinf(ratio)
+            ratio, worst = measure_stretch(graph, edges.ids)
+            ok = not math.isinf(ratio)
+        report["measured_stretch"] = _fmt(ratio)
+        report["worst_edge"] = worst
     if args.simulate:
         if args.algo != "bs":
             raise SparsekitError(f"--simulate is only available for algo 'bs', not {args.algo!r}")
@@ -120,10 +117,7 @@ def cmd_spanner(args) -> int:
         ok = ok and dist_edges.ids == edges.ids
     if args.output:
         edges.write(args.output)
-    if args.json is not None:
-        _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 
@@ -156,10 +150,7 @@ def cmd_certificate(args) -> int:
         ok = rep.ok
     if args.output:
         cert.write(args.output)
-    if args.json is not None:
-        _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 

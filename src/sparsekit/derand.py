@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .baswana_sen import BSState, NodeAdjacency, SampleVector, build_adjacency
+from .baswana_sen import BSState, NodeAdjacency, SampleVector, _spanner, build_adjacency
 from .errors import ConfigurationError, InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
-from .rational import rat_ln_upper, sampling_probability
+from .rational import rat_ln_upper
 
 # A partial assignment maps each cluster bit to 0, 1, or None (unset).
 PartialAssignment = Sequence["int | None"]
@@ -296,24 +296,4 @@ def deterministic_spanner(
     graph: Graph, k: int, *, iota: int = 64, enforce_budget: bool = True
 ) -> EdgeSet:
     """(2k-1)-spanner with derandomized sampling; bit-identical across runs."""
-    from .baswana_sen import initial_state, run_iteration
-
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    state = initial_state(graph)
-    g = k - 1
-    if g >= 1 and graph.n >= 2:
-        p = sampling_probability(graph.n, k)
-        for i in range(1, g + 1):
-            ctx = UtilityContext.create(
-                n=graph.n, iteration=i, p=p, g=g, weighted=graph.weighted, iota=iota
-            )
-            views = build_adjacency(state)
-            samples = fix_bits(state, ctx, enforce_target=enforce_budget, views=views)
-            state = run_iteration(state, samples, views=views)
-            if enforce_budget:
-                check_objectives(state, ctx)
-    state = run_iteration(state, (False,) * len(state.clustering.clusters))
-    if state.alive or state.alive_edges:
-        raise InvariantViolation("nodes or edges survived the final iteration")
-    return EdgeSet(graph, state.spanner)
+    return _spanner(graph, k, deterministic=True, iota=iota, enforce_budget=enforce_budget)

@@ -252,10 +252,6 @@ class EdgeSet:
     def __contains__(self, eid: int) -> bool:
         return eid in self.ids
 
-    def union(self, other: "EdgeSet | Iterable[int]") -> "EdgeSet":
-        ids = other.ids if isinstance(other, EdgeSet) else frozenset(other)
-        return EdgeSet(self.graph, self.ids | ids)
-
     def sorted_ids(self) -> list[int]:
         return sorted(self.ids)
 

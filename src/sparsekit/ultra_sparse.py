@@ -11,9 +11,10 @@ at t' = t, double until the composed size lands under n + ceil(n/t)
 `linear_size_spanner` is the O(n)-edge construction: a tower-of-logs
 phase schedule where phase i runs g_i sampled clustering iterations at
 probability 1/x_i on the current cluster graph, contracts the surviving
-clustering, and recurses; a final sample-nothing pass kills whatever
-remains (a no-op once n is astronomically large, but it makes the
-construction unconditionally correct for every n and every alpha0).
+clustering, and recurses; the Baswana-Sen final pass kills whatever
+remains and asserts that no node or edge survives it (a no-op once n is
+astronomically large, but it makes the construction unconditionally
+correct for every n and every alpha0).
 The phase count is the largest P with log2^(P)(n) >= alpha0.  With the
 default alpha0 = 2**16 every desk-scale input has P = 0; a smaller
 alpha0 (>= 4) exercises the phase machinery and is used by the tests.
@@ -38,7 +39,7 @@ from typing import Callable
 
 import mpmath
 
-from .baswana_sen import run_g_iterations
+from .baswana_sen import final_pass, initial_state, run_g_iterations
 from .clustering import compose_spanner, contract
 from .errors import InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
@@ -218,9 +219,9 @@ def linear_size_spanner(
 
     final_added = 0
     if current is not None and current.m > 0:
-        edges_f, _, _ = run_g_iterations(current, 1, 0)
-        final_added = len(edges_f)
-        added.update(lineage[eid] for eid in edges_f.ids)
+        final = final_pass(initial_state(current))
+        final_added = len(final.spanner)
+        added.update(lineage[eid] for eid in final.spanner)
 
     result = EdgeSet(graph, frozenset(added))
     if with_report:

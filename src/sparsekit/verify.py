@@ -191,19 +191,6 @@ class StretchFriendlyReport:
         return f"stretch-friendly violated in cluster {c}: edge {ge} lighter than tree edge {te}"
 
 
-def _root_path_max(graph: Graph, cluster, v: int) -> tuple[int, int | None]:
-    """(max weight, witnessing tree edge) on the path from v to the root."""
-    best_w, best_e = 0, None
-    while v != cluster.parent[v]:
-        p = cluster.parent[v]
-        eid = graph.edge_between(v, p)
-        w = graph.edges[eid].w
-        if w > best_w:
-            best_w, best_e = w, eid
-        v = p
-    return best_w, best_e
-
-
 def _tree_path_max(graph: Graph, cluster, u: int, v: int) -> tuple[int, int | None]:
     """Max weight on the unique tree path between u and v inside the cluster."""
     du, dv = cluster.depth_of(u), cluster.depth_of(v)
@@ -263,7 +250,8 @@ def verify_stretch_friendly(
             if cid is None:
                 continue
             if inside not in root_max:
-                root_max[inside] = _root_path_max(graph, clustering.clusters[cid], inside)
+                cluster = clustering.clusters[cid]
+                root_max[inside] = _tree_path_max(graph, cluster, inside, cluster.root)
             mx, te = root_max[inside]
             if mx > e.w:
                 return StretchFriendlyReport(False, (cid, eid, te))

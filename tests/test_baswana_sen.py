@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,17 +11,20 @@ import pytest
 from sparsekit.baswana_sen import (
     build_adjacency,
     decide,
+    final_pass,
     initial_state,
     random_samples,
     run_distributed_spanner,
     run_g_iterations,
     run_iteration,
     spanner,
-    spanner_with_state,
 )
+from sparsekit.clustering import Clustering
 from sparsekit.derand import deterministic_spanner
-from sparsekit.errors import ParameterError
+from sparsekit.errors import InvariantViolation, ParameterError
 from sparsekit.graph import Graph
+from sparsekit.rational import sampling_probability
+from sparsekit.ultra_sparse import linear_size_spanner
 from sparsekit.verify import apsp, verify_stretch, verify_stretch_friendly
 
 from conftest import connected_gnp, cycle_graph, gnp_graph
@@ -129,6 +133,54 @@ def test_outputs_pinned():
     assert h.hexdigest() == "4cfb77a042e447bcbc3eeaa3925170b8a104091e8969f2af949ecc4bbab4eb82"
 
 
+def test_loop_and_final_pass_outputs_pinned():
+    # sha256 over the sorted edge ids of every caller of the shared
+    # iteration loop and final pass, recorded before they were shared:
+    # both linear-size modes, k = 1, k above log2 n, and n <= 2.
+    out = []
+    for g in (gnp_graph(64, 0.2, seed=1), gnp_graph(64, 0.2, seed=2, weighted=True, max_weight=3)):
+        for mode in ("randomized", "derandomized"):
+            for s in (0, 1):
+                out.append(sorted(linear_size_spanner(g, mode=mode, alpha0=4, seed=s).ids))
+        out.append(sorted(spanner(g, 1).ids))
+        out.append(sorted(spanner(g, 12, seed=3).ids))
+        out.append(sorted(deterministic_spanner(g, 1).ids))
+    for n in (0, 1, 2):
+        g = gnp_graph(n, 1.0)
+        out.append(sorted(spanner(g, 3).ids))
+        out.append(sorted(deterministic_spanner(g, 3).ids))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "6a4bb6b743a1b9a9f70d3e805e30bc5d0ec7185e27d114629f35260733cbef52"
+
+
+def test_final_pass_raises_when_an_edge_survives():
+    # An alive edge with no alive node at either end is touched by no
+    # node's step, so the sample-nothing pass leaves it alive.
+    g = Graph(2, [(0, 1, 1)])
+    state = replace(initial_state(g), alive=frozenset(), clustering=Clustering.from_clusters(()))
+    with pytest.raises(InvariantViolation, match="survived the final iteration"):
+        final_pass(state)
+    assert final_pass(initial_state(g)).spanner == frozenset([0])
+
+
+def test_p0_runs_only_the_final_pass(monkeypatch):
+    # With n <= 1 the sampling probability is 0, so no iteration before
+    # the final pass can do anything, and none runs whatever k is.
+    from sparsekit import baswana_sen
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(baswana_sen, "run_iteration", counted)
+    for n in (0, 1):
+        assert spanner(Graph(n, []), 1000).ids == frozenset()
+        assert deterministic_spanner(Graph(n, []), 1000).ids == frozenset()
+    assert len(calls) == 4
+
+
 def test_sample_vector_length_checked():
     g = gnp_graph(5, 0.5, seed=3)
     with pytest.raises(ParameterError):
@@ -156,8 +208,14 @@ def test_dead_edge_stretch_and_friendliness():
     for seed in range(6):
         g = connected_gnp(28, 0.25, seed=40 + seed, weighted=True, max_weight=20)
         for k in (2, 3):
-            es, final, history = spanner_with_state(g, k, seed=seed)
-            dist = apsp(g, es.ids)
+            p = sampling_probability(g.n, k)
+            history = [initial_state(g)]
+            for _ in range(k - 1):
+                history.append(run_iteration(history[-1], random_samples(history[-1], p, seed)))
+            final = final_pass(history[-1])
+            history.append(final)
+            assert spanner(g, k, seed).ids == final.spanner
+            dist = apsp(g, final.spanner)
             for eid, died_at in final.dead_edges.items():
                 e = g.edges[eid]
                 assert dist[e.u][e.v] <= (2 * died_at - 1) * e.w

@@ -159,3 +159,12 @@ def test_malformed_bench_config_exits_2(tmp_path, capsys, line, key):
     cfg.write_text(f"algos=bs\nks=2\n{line}\n")
     assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "out.csv")]) == 2
     assert f" {key}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["small", "large"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_certificate_non_finite_eps_exits_2(tmp_path, capsys, variant, eps):
+    gpath = tmp_path / "g.txt"
+    Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], weighted=False).write(gpath)
+    assert main(["certificate", "-i", str(gpath), "--k", "2", "--eps", eps, "--variant", variant]) == 2
+    assert "eps must be finite" in capsys.readouterr().err
