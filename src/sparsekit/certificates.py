@@ -17,9 +17,10 @@ the union is exact — a cut of size at most k/(1-eps') is kept entirely
 k/Q edges per part.  With Q = 1 this degenerates to the sequential
 construction by definition.
 
-Verification is exact: graphs with at most 18 nodes enumerate all
-2^(n-1)-1 cuts (vectorized); larger graphs compare global edge
-connectivity (Stoer-Wagner) of certificate and graph.
+Verification is exact: up to 18 nodes it enumerates all 2^(n-1)-1 cuts
+in blocks of rows.  Beyond, H keeps min(|cut|, k) edges of every cut iff
+every omitted edge (u,v) has lambda_H(u,v) >= k, an equivalence relation
+that one Gomory-Hu tree of H decides (Gusfield 1990; n-1 scipy max flows).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
@@ -39,6 +40,7 @@ from .rational import rat_ln_upper
 from .ultra_sparse import ultra_sparse_spanner
 
 CUT_ENUM_LIMIT = 18
+CUT_BLOCK = 1 << 12  # cuts per enumeration block: CUT_BLOCK x m booleans at a time
 
 
 def _frac(eps) -> Fraction:
@@ -50,20 +52,57 @@ def _frac(eps) -> Fraction:
     return Fraction(eps)
 
 
+def _ends(graph: Graph, edge_ids) -> np.ndarray:
+    return np.array([graph.edges[i][1:3] for i in edge_ids], dtype=np.intp).reshape(-1, 2).T
+
+
+def _unit_capacity(graph: Graph, edge_ids) -> csr_matrix:
+    """Symmetric CSR with capacity 1 on both arcs of every given edge."""
+    u, v = _ends(graph, edge_ids)
+    return csr_matrix((np.ones(2 * len(u), dtype=np.int32), (np.r_[u, v], np.r_[v, u])), shape=(graph.n,) * 2)
+
+
+def _min_cut(cap: csr_matrix, s: int, t: int) -> tuple[int, np.ndarray]:
+    """Max s-t flow and the source side of a minimum cut: the nodes s reaches
+    over arcs carrying less than 1 unit (cap is symmetric: every arc has capacity 1)."""
+    result = csgraph.maximum_flow(cap, s, t)
+    flow, live = result.flow, result.flow.data < 1
+    indptr = np.concatenate(([0], np.cumsum(live)))[flow.indptr]
+    residual = csr_matrix((np.ones(indptr[-1]), flow.indices[live], indptr), shape=cap.shape)
+    order = csgraph.breadth_first_order(residual, s, return_predecessors=False)
+    return int(result.flow_value), np.bincount(order, minlength=cap.shape[0]) > 0
+
+
+def _gomory_hu(cap: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Gusfield's Gomory-Hu cut tree, rooted at node 0: flow[s] is lambda(s,
+    parent[s]), and the subtree below s is a minimum cut between the two."""
+    parent, flow = np.zeros(cap.shape[0], dtype=np.intp), np.zeros(cap.shape[0], dtype=np.int64)
+    for s in range(1, cap.shape[0]):
+        t = parent[s]
+        f, side = _min_cut(cap, s, t)
+        parent[side & (parent == t)] = s
+        parent[s], flow[s] = t, f
+        if side[parent[t]]:
+            parent[s], parent[t] = parent[t], s
+            flow[s], flow[t] = flow[t], f
+    return parent, flow
+
+
 def edge_connectivity(graph: Graph, edge_ids: Iterable[int] | None = None) -> int | float:
-    """Exact global edge connectivity of the (sub)graph; 0 if disconnected."""
-    ids = list(range(graph.m)) if edge_ids is None else sorted(edge_ids)
+    """Exact global edge connectivity of the (sub)graph; 0 if disconnected.
+
+    The least of the minimum degree and the max flows from node 0 to a greedy dominating
+    set D (Matula 1987: if lambda < min degree, D meets both sides of a minimum cut).
+    """
     if graph.n <= 1:
         return math.inf
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.n))
-    for eid in ids:
-        e = graph.edges[eid]
-        g.add_edge(e.u, e.v, weight=1)
-    if not nx.is_connected(g):
-        return 0
-    value, _ = nx.stoer_wagner(g)
-    return int(value)
+    cap = _unit_capacity(graph, range(graph.m) if edge_ids is None else sorted(edge_ids))
+    dominated, flows = np.zeros(graph.n, dtype=bool), [int(np.diff(cap.indptr).min())]
+    for v in range(graph.n):  # greedy D: node 0 (no flow), then each node D does not reach
+        if not dominated[v]:
+            dominated[cap.indices[cap.indptr[v] : cap.indptr[v + 1]]] = dominated[v] = True
+            flows.append(int(csgraph.maximum_flow(cap, 0, v).flow_value) if v else flows[0])
+    return min(flows)
 
 
 def skeleton_for(eps) -> Callable[[Graph], EdgeSet]:
@@ -175,7 +214,7 @@ def certificate_large_k(
 @dataclass(frozen=True)
 class CertificateReport:
     ok: bool
-    mode: str  # "cuts" (exhaustive) or "mincut" (Stoer-Wagner comparison)
+    mode: str  # "cuts" (exhaustive) or "mincut" (Gomory-Hu tree of the certificate)
     k: int
     detail: dict
 
@@ -183,53 +222,54 @@ class CertificateReport:
         return f"certificate k={self.k} mode={self.mode} ok={self.ok} {self.detail}"
 
 
+def _cut_blocks(graph: Graph, ids: list[int]):
+    """(first mask, crossing matrix over the columns ids) per block of cuts.
+    Masks run from 1 to 2^(n-1)-1; bit i-1 puts node i opposite node 0."""
+    n = max(graph.n, 1)  # no node, like one node, has no proper cut
+    u, v = _ends(graph, ids)
+    for lo in range(1, 1 << (n - 1), CUT_BLOCK):
+        masks = np.arange(lo, min(lo + CUT_BLOCK, 1 << (n - 1)), dtype=np.uint32) << 1
+        sides = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+        yield lo, sides[:, u] != sides[:, v]
+
+
 def cut_matrix(graph: Graph, edge_ids: Iterable[int]) -> np.ndarray:
-    """Boolean matrix: row per cut (subsets containing node 0), column per
-    given edge; True when the edge crosses the cut.  n <= CUT_ENUM_LIMIT."""
+    """Boolean matrix: row r for the cut with mask r + 1 (see _cut_blocks),
+    column per given edge; True when the edge crosses the cut.  n <= CUT_ENUM_LIMIT."""
     if graph.n > CUT_ENUM_LIMIT:
         raise ParameterError(f"cut enumeration capped at n <= {CUT_ENUM_LIMIT}")
-    n = max(graph.n, 1)  # no node, like one node, has no proper cut
-    masks = np.arange(1 << (n - 1), dtype=np.uint32)  # bit i-1 = node i; node 0 fixed
-    sides = np.zeros((len(masks), n), dtype=bool)
-    for v in range(1, n):
-        sides[:, v] = (masks >> (v - 1)) & 1
     ids = sorted(edge_ids)
-    cross = np.zeros((len(masks), len(ids)), dtype=bool)
-    for col, eid in enumerate(ids):
-        e = graph.edges[eid]
-        cross[:, col] = sides[:, e.u] != sides[:, e.v]
-    # Drop the improper "cut" S = V (mask with every bit set keeps the cut
-    # empty anyway, but per the contract we enumerate 2^(n-1) - 1 cuts).
-    return cross[: (1 << (n - 1)) - 1]
+    return np.concatenate([np.zeros((0, len(ids)), dtype=bool), *(c for _, c in _cut_blocks(graph, ids))])
 
 
 def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport:
     """Exact check that cert keeps min(|cut|, k) edges of every cut.
 
-    Exhaustive cut enumeration up to CUT_ENUM_LIMIT nodes; beyond that,
-    compares exact global min cuts: lambda(cert) >= min(lambda(G), k).
+    Exhaustive cut enumeration up to CUT_ENUM_LIMIT nodes, else one Gomory-Hu tree
+    of cert; that fails on the first omitted edge (u,v) with lambda_cert(u,v) < k.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
+    kept, omitted = sorted(cert.ids), sorted(set(range(graph.m)) - cert.ids)
     if graph.n <= CUT_ENUM_LIMIT:
-        cross_all = cut_matrix(graph, range(graph.m))
-        in_cert = np.fromiter(
-            (eid in cert.ids for eid in range(graph.m)), dtype=bool, count=graph.m
-        )
-        cut_g = cross_all.sum(axis=1)
-        cut_h = cross_all[:, in_cert].sum(axis=1)
-        need = np.minimum(cut_g, k)
-        bad = np.nonzero(cut_h < need)[0]
-        if len(bad):
-            m0 = int(bad[0])
-            return CertificateReport(
-                False,
-                "cuts",
-                k,
-                {"cut_mask": m0, "cut_size": int(cut_g[m0]), "kept": int(cut_h[m0])},
-            )
-        return CertificateReport(True, "cuts", k, {"cuts_checked": int(cross_all.shape[0])})
-    lam_g = edge_connectivity(graph)
-    lam_h = edge_connectivity(graph, cert.ids)
-    ok = lam_h >= min(lam_g, k)
-    return CertificateReport(ok, "mincut", k, {"lambda_g": lam_g, "lambda_h": lam_h})
+        for lo, cross in _cut_blocks(graph, kept + omitted):
+            cut_h = np.count_nonzero(cross[:, : len(kept)], axis=1)
+            cut_g = cut_h + np.count_nonzero(cross[:, len(kept) :], axis=1)
+            bad = np.flatnonzero(cut_h < np.minimum(cut_g, k))
+            if len(bad):
+                i = int(bad[0])
+                detail = {"cut_mask": lo + i, "cut_size": int(cut_g[i]), "kept": int(cut_h[i])}
+                return CertificateReport(False, "cuts", k, detail)
+        return CertificateReport(True, "cuts", k, {"cuts_checked": (1 << max(graph.n - 1, 0)) - 1})
+    cap = _unit_capacity(graph, kept)
+    parent, flow = _gomory_hu(cap)
+    strong = np.flatnonzero(flow >= k)  # never the root: flow[0] = 0 < k
+    tree = csr_matrix((np.ones(len(strong)), (strong, parent[strong])), shape=cap.shape)
+    label = csgraph.connected_components(tree, directed=False)[1]
+    bad = np.flatnonzero(np.not_equal(*label[_ends(graph, omitted)]))
+    detail = {"lambda_g": edge_connectivity(graph), "lambda_h": int(flow[1:].min())}
+    if len(bad):
+        e = graph.edges[omitted[bad[0]]]
+        lam, side = _min_cut(cap, e.u, e.v)
+        detail.update(edge=e.id, lambda_uv=lam, cut_size=int(sum(side[x.u] != side[x.v] for x in graph.edges)))
+    return CertificateReport(not len(bad), "mincut", k, detail)

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 from .baswana_sen import BSState, NodeAdjacency, SampleVector, _spanner, build_adjacency
 from .errors import ConfigurationError, InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
-from .rational import rat_ln_upper
+from .rational import log_factor, rat_ln_upper
 
 # A partial assignment maps each cluster bit to 0, 1, or None (unset).
 PartialAssignment = Sequence["int | None"]
@@ -82,7 +82,7 @@ class UtilityContext:
             raise ParameterError("derandomization needs 0 < p < 1")
         if iteration < 1 or g < 1 or iteration > g:
             raise ParameterError("need 1 <= iteration <= g")
-        ln_g = max(Fraction(1), rat_ln_upper(g)) if g > 1 else Fraction(1)
+        ln_g = log_factor(g)
         tau = ln_g / p
         if xi is None:
             xi = Fraction(10) * rat_ln_upper(max(n, 2)) / p

@@ -175,7 +175,7 @@ class Graph:
         return max((e.w for e in self.edges), default=0)
 
     def to_networkx(self, edge_ids: Iterable[int] | None = None):
-        """Export to networkx (used by the exact min-cut oracle)."""
+        """Export to networkx (only the tests use it; networkx is a test dependency)."""
         import networkx as nx
 
         g = nx.Graph()

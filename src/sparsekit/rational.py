@@ -68,6 +68,11 @@ def rat_ln_upper(x, bits: int = 24) -> Fraction:
     return Fraction(scaled, 1 << bits)
 
 
+def log_factor(g: int) -> Fraction:
+    """L = max(1, ln g), with ln g as the rat_ln_upper bound; 1 for g <= 1."""
+    return max(Fraction(1), rat_ln_upper(g)) if g > 1 else Fraction(1)
+
+
 def ceil_log2(x: int) -> int:
     """Exact ceil(log2(x)) for x >= 1."""
     if x < 1:

@@ -43,7 +43,7 @@ from .baswana_sen import final_pass, initial_state, run_g_iterations
 from .clustering import compose_spanner, contract
 from .errors import InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
-from .rational import ceil_log2, rat_ln_upper
+from .rational import ceil_log2, log_factor
 from .stretch_friendly import partition
 from .verify import measure_stretch
 
@@ -202,7 +202,7 @@ def linear_size_spanner(
             if current.weighted:
                 budget = Fraction(g_i) * iota * n_i / p
             else:
-                ln_g = max(Fraction(1), rat_ln_upper(g_i)) if g_i > 1 else Fraction(1)
+                ln_g = log_factor(g_i)
                 budget = Fraction(g_i) * n_i + n_i * ln_g / p + Fraction(iota) * n_i * ln_g / p
             if len(edges_i) > budget:
                 raise InvariantViolation(

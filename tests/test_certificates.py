@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsekit import certificates
 from sparsekit.certificates import (
     certificate_large_k,
     certificate_small_k,
@@ -26,6 +34,7 @@ def test_edge_connectivity_basics():
     disconnected = Graph(4, [(0, 1, 1)], weighted=False)
     assert edge_connectivity(disconnected) == 0
     assert edge_connectivity(cycle_graph(6), edge_ids=[0, 1, 2, 3, 4]) == 1
+    assert edge_connectivity(Graph(0, [])) == edge_connectivity(Graph(1, [])) == math.inf
 
 
 def test_small_k1_keeps_connectivity():
@@ -173,3 +182,107 @@ def test_verify_certificate_without_cuts_is_vacuous(n):
     cert = certificate_small_k(g, 2)
     rep = verify_certificate(g, cert, 2)
     assert rep.ok and rep.mode == "cuts" and rep.detail == {"cuts_checked": 0}
+
+
+def _k10_with_path_tail():
+    """K_10 on nodes 0..9 plus the path 9-10-...-21, and the spanning tree
+    made of the star at node 0 and the path."""
+    g = Graph(22, [(u, v) for u in range(10) for v in range(u + 1, 10)] + [(i, i + 1) for i in range(9, 21)],
+              weighted=False)
+    tree = frozenset(g.edge_between(0, v) for v in range(1, 10)) | frozenset(range(45, 57))
+    return g, EdgeSet(g, tree)
+
+
+def test_gomory_hu_branch_catches_k10_path_tail():
+    # lambda(H) = lambda(G) = 1, so comparing global min cuts accepts H,
+    # yet every omitted K_10 edge has lambda_H(u, v) = 1 < 3.
+    g, cert = _k10_with_path_tail()
+    rep = verify_certificate(g, cert, 3)
+    assert not rep.ok and rep.mode == "mincut"
+    assert rep.detail == {"lambda_g": 1, "lambda_h": 1, "edge": 9, "lambda_uv": 1, "cut_size": 9}
+    assert g.edges[9][1:3] == (1, 2)  # the first omitted edge; its minimum cut isolates node 1
+    parent, flow = certificates._gomory_hu(certificates._unit_capacity(g, sorted(cert.ids)))
+    assert sorted(flow[1:]) == [1] * 21
+
+
+def test_verify_certificate_checks_the_cut_around_node_0():
+    # The only cut that loses edges is {0} | V - {0}, the cut with every mask bit set.
+    triangle = complete_graph(3)
+    rep = verify_certificate(triangle, EdgeSet(triangle, frozenset({triangle.edge_between(1, 2)})), 1)
+    assert not rep.ok and rep.detail == {"cut_mask": 3, "cut_size": 2, "kept": 0}
+    edge = Graph(2, [(0, 1)], weighted=False)
+    assert not verify_certificate(edge, EdgeSet(edge, frozenset()), 1).ok
+    assert cut_matrix(edge, [0]).tolist() == [[True]]
+
+
+@st.composite
+def graph_and_subgraph(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))), weighted=False)
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        ids = certificate_small_k(g, k).ids
+    else:
+        ids = frozenset(e for e in range(g.m) if draw(st.booleans()))
+    return g, EdgeSet(g, ids), k
+
+
+def _local_connectivity(h: nx.Graph, u: int, v: int) -> int:
+    return nx.edge_connectivity(h, u, v) if nx.has_path(h, u, v) else 0
+
+
+@settings(deadline=None, max_examples=120)
+@given(graph_and_subgraph())
+def test_gomory_hu_branch_agrees_with_cut_enumeration(case):
+    g, cert, k = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "CUT_ENUM_LIMIT", 1)
+        rep = verify_certificate(g, cert, k)
+    exhaustive = verify_certificate(g, cert, k)
+    assert rep.mode == "mincut" and exhaustive.mode == "cuts"
+    assert rep.ok == exhaustive.ok
+    h = g.to_networkx(cert.ids)
+    weak = [e for e in range(g.m) if e not in cert.ids and _local_connectivity(h, *g.edges[e][1:3]) < k]
+    assert rep.ok == (not weak)
+    assert rep.detail["lambda_g"] == edge_connectivity(g)
+    assert rep.detail["lambda_h"] == edge_connectivity(g, cert.ids)
+    if weak:
+        e = g.edges[weak[0]]
+        assert rep.detail["edge"] == e.id
+        assert rep.detail["lambda_uv"] == _local_connectivity(h, e.u, e.v)
+        assert rep.detail["lambda_uv"] < rep.detail["cut_size"]  # the omitted edge crosses the cut too
+
+
+@settings(deadline=None, max_examples=80)
+@given(graph_and_subgraph())
+def test_gomory_hu_tree_cuts_and_path_minima(case):
+    g, cert, _ = case
+    parent, flow = certificates._gomory_hu(certificates._unit_capacity(g, sorted(cert.ids)))
+    h = g.to_networkx(cert.ids)
+    tree = nx.Graph((s, int(parent[s]), {"w": int(flow[s])}) for s in range(1, g.n))
+    assert nx.is_tree(tree) and tree.number_of_nodes() == g.n
+    for s in range(1, g.n):  # the subtree below s is a minimum cut of weight flow[s]
+        below = tree.copy()
+        below.remove_edge(s, int(parent[s]))
+        assert nx.cut_size(h, nx.node_connected_component(below, s)) == flow[s]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            path = nx.shortest_path(tree, u, v)
+            assert min(tree[a][b]["w"] for a, b in zip(path, path[1:])) == _local_connectivity(h, u, v)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graph_and_subgraph(max_n=14))
+def test_edge_connectivity_matches_stoer_wagner(case):
+    g, _, _ = case
+    nxg = g.to_networkx()
+    expected = nx.stoer_wagner(nxg)[0] if nx.is_connected(nxg) else 0
+    assert edge_connectivity(g) == expected
+
+
+def test_import_does_not_load_networkx():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, sparsekit; sys.exit('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

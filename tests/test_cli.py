@@ -168,3 +168,37 @@ def test_certificate_non_finite_eps_exits_2(tmp_path, capsys, variant, eps):
     Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], weighted=False).write(gpath)
     assert main(["certificate", "-i", str(gpath), "--k", "2", "--eps", eps, "--variant", variant]) == 2
     assert "eps must be finite" in capsys.readouterr().err
+
+
+DEGENERATE_CERTIFICATE_INPUTS = {
+    "n0": (Graph(0, [], weighted=False), "cuts", {"cuts_checked": "0"}),
+    "n1": (Graph(1, [], weighted=False), "cuts", {"cuts_checked": "0"}),
+    "n2-no-edges": (Graph(2, [], weighted=False), "cuts", {"cuts_checked": "1"}),
+    "n2-one-edge": (Graph(2, [(0, 1)], weighted=False), "cuts", {"cuts_checked": "1"}),
+    "n4-disconnected": (Graph(4, [(0, 1), (2, 3)], weighted=False), "cuts", {"cuts_checked": "7"}),
+    "n20-no-edges": (Graph(20, [], weighted=False), "mincut", {"lambda_g": "0", "lambda_h": "0"}),
+    "n20-zero-weights": (
+        Graph(20, [(i, (i + 1) % 20, 0) for i in range(20)] + [(0, 10, 0)]),
+        "mincut",
+        {"lambda_g": "2", "lambda_h": "2"},
+    ),
+    "n20-disconnected": (
+        Graph(20, [(i, i + 1) for i in range(9)] + [(i, i + 1) for i in range(10, 19)] + [(0, 9), (10, 19)],
+              weighted=False),
+        "mincut",
+        {"lambda_g": "0", "lambda_h": "0"},
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ["small", "large"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CERTIFICATE_INPUTS))
+def test_certificate_verify_on_degenerate_inputs(tmp_path, capsys, variant, name):
+    graph, mode, detail = DEGENERATE_CERTIFICATE_INPUTS[name]
+    gpath = tmp_path / "g.txt"
+    graph.write(gpath)
+    code = main(["certificate", "-i", str(gpath), "--k", "2", "--variant", variant, "--verify", "--json", "-"])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["verify_ok"] and report["verify_mode"] == mode and report["verify_detail"] == detail
