@@ -69,7 +69,6 @@ from .stretch_friendly import (
     match_small,
     merge_step,
     partition,
-    partition_with_report,
 )
 from .ultra_sparse import (
     linear_size_spanner,

@@ -124,10 +124,9 @@ def certificate_small_k(
     k: int,
     eps=Fraction(1, 4),
     skeleton: Callable[[Graph], EdgeSet] | None = None,
-    *,
-    with_layers: bool = False,
-):
-    """k-fold skeleton extraction; keeps all or >= k edges of every cut."""
+) -> EdgeSet:
+    """k-fold skeleton extraction; keeps all or >= k edges of every cut.
+    The result's `report` is the list of extracted layers (edge-id sets)."""
     if k < 1:
         raise ParameterError("k must be >= 1")
     eps = _frac(eps)
@@ -145,14 +144,11 @@ def certificate_small_k(
         layers.append(ids)
         acc |= ids
         remaining -= ids
-    cert = EdgeSet(graph, frozenset(acc))
-    if len(cert) > graph.n * k * (1 + eps):
+    if len(acc) > graph.n * k * (1 + eps):
         raise InvariantViolation(
-            f"certificate has {len(cert)} edges, cap {graph.n * k} * (1+{eps})"
+            f"certificate has {len(acc)} edges, cap {graph.n * k} * (1+{eps})"
         )
-    if with_layers:
-        return cert, layers
-    return cert
+    return EdgeSet(graph, frozenset(acc), layers)
 
 
 def _edge_part(seed: int, eid: int, q: int) -> int:
@@ -175,12 +171,12 @@ def certificate_large_k(
     seed: int = 0,
     *,
     c_k: float = 3.0,
-    with_detail: bool = False,
-):
+) -> EdgeSet:
     """Certificate via Q-way random edge splitting (see module docstring).
 
     `eps` is the public sparsity slack: the output has at most
-    n*k*(1+eps) edges; internally eps/8 drives the split.
+    n*k*(1+eps) edges; internally eps/8 drives the split.  The result's
+    `report` is {"q", "k_part", "parts"}.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -192,7 +188,7 @@ def certificate_large_k(
     q = max(1, math.floor(k * e * e / (Fraction(str(c_k)) * ln_n)))
     kp = math.ceil(k * (1 + e) / (q * (1 - e)))
     if q == 1:
-        cert = certificate_small_k(graph, kp, eps=e)
+        ids = certificate_small_k(graph, kp, eps=e).ids
         parts: list[list[int]] = [list(range(graph.m))]
     else:
         parts = karger_parts(graph, q, seed)
@@ -201,14 +197,12 @@ def certificate_large_k(
             sub, emap = graph.edge_subgraph(part)
             part_cert = certificate_small_k(sub, kp, eps=e)
             acc.update(emap[i] for i in part_cert.ids)
-        cert = EdgeSet(graph, frozenset(acc))
-    if len(cert) > graph.n * k * (1 + 8 * e):
+        ids = frozenset(acc)
+    if len(ids) > graph.n * k * (1 + 8 * e):
         raise InvariantViolation(
-            f"certificate has {len(cert)} edges, cap {graph.n * k} * (1+{8 * e})"
+            f"certificate has {len(ids)} edges, cap {graph.n * k} * (1+{8 * e})"
         )
-    if with_detail:
-        return cert, {"q": q, "k_part": kp, "parts": parts}
-    return cert
+    return EdgeSet(graph, ids, {"q": q, "k_part": kp, "parts": parts})
 
 
 @dataclass(frozen=True)

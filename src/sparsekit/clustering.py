@@ -12,8 +12,8 @@ remembering a witness edge that achieves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping
 
 from .errors import InvalidClusteringError
 from .graph import EdgeSet, Graph
@@ -79,6 +79,8 @@ def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int,
 class Clustering:
     clusters: tuple[Cluster, ...]
     membership: Mapping[int, int]  # node -> index into clusters; absent = unclustered
+    # output only: how the construction that returned it ran
+    report: Any = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_clusters(cls, clusters: Iterable[Cluster]) -> "Clustering":
@@ -186,28 +188,21 @@ def contract(graph: Graph, clustering: Clustering) -> ClusterGraph:
     return ClusterGraph(graph, clustering, cg, tuple(eid for _, eid in pairs))
 
 
-def compose_spanner(
-    base_graph: Graph,
-    clustering: Clustering,
-    cluster_spanner: EdgeSet,
-    *,
-    cluster_graph: ClusterGraph | None = None,
-) -> EdgeSet:
-    """Lift a cluster-graph spanner back to the base graph.
+def compose_spanner(cg: ClusterGraph, cluster_spanner: EdgeSet) -> EdgeSet:
+    """Lift a spanner of the contraction `cg.graph` back to `cg.base`.
 
-    Returns the union of all cluster tree edges with the witness edges of
-    the chosen cluster-graph edges.  When the clustering is a
-    stretch-friendly r-partition and the cluster-graph subgraph is an
-    alpha-spanner of the contraction, the result is a
-    ((2r+1)(alpha+1) - 1)-spanner of the base graph.
+    Returns the union of the tree edges of `cg.clustering`, which must be
+    a partition, with the witnesses of the chosen cluster-graph edges.
+    When the clustering is a stretch-friendly r-partition and the
+    cluster-graph subgraph is an alpha-spanner of the contraction, the
+    result is a ((2r+1)(alpha+1) - 1)-spanner of the base graph.
     """
-    if not clustering.is_partition(base_graph):
+    if not cg.clustering.is_partition(cg.base):
         raise InvalidClusteringError("compose_spanner requires a partition")
-    cg = cluster_graph if cluster_graph is not None else contract(base_graph, clustering)
     other = cluster_spanner.graph
     # Accept equal contractions built separately (contraction is deterministic).
     if other is not cg.graph and (other.n, other.edges) != (cg.graph.n, cg.graph.edges):
         raise InvalidClusteringError("cluster spanner does not match the contraction")
-    ids = set(clustering.all_tree_edges())
+    ids = set(cg.clustering.all_tree_edges())
     ids.update(cg.witness[eid] for eid in cluster_spanner.ids)
-    return EdgeSet(base_graph, frozenset(ids))
+    return EdgeSet(cg.base, frozenset(ids))

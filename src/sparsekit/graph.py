@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Any, Container, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidGraphError
 
@@ -239,6 +239,8 @@ class EdgeSet:
 
     graph: Graph
     ids: frozenset[int] = field(default_factory=frozenset)
+    # output only: how the construction that returned it ran
+    report: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", frozenset(self.ids))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping
@@ -232,10 +232,9 @@ def _check_step_invariants(
                 raise InvariantViolation(f"invariant 5: no witness for node {x}, cluster {cx}")
 
 
-def grow_and_cut(
-    graph: Graph, t: int, *, with_report: bool = False
-):
-    """Complete clustering plus inter-cluster ledger (see module docstring)."""
+def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
+    """Complete clustering plus inter-cluster ledger (see module docstring).
+    The clustering's `report` is the tuple of `GrowCutStep`s, one per step."""
     if t < 1:
         raise ParameterError("t must be >= 1")
     n = graph.n
@@ -302,15 +301,15 @@ def grow_and_cut(
 
     order = sorted(range(len(clusters)), key=lambda i: clusters[i][0])
     rank = {old: new for new, old in enumerate(order)}
-    clustering = Clustering.from_parent_maps(graph, [clusters[i][:2] for i in order])
+    clustering = replace(
+        Clustering.from_parent_maps(graph, [clusters[i][:2] for i in order]), report=tuple(steps)
+    )
     ledger = InterEdgeLedger(
         frozenset(witness.values()),
         {(v, rank[cid]): eid for (v, cid), eid in witness.items()},
     )
     if len(ledger.edges) * t > n:
         raise InvariantViolation("final ledger exceeds n/t")
-    if with_report:
-        return clustering, ledger, tuple(steps)
     return clustering, ledger
 
 
@@ -413,15 +412,14 @@ def _tree_diameter(graph: Graph, wc: WeakCluster) -> int:
 def weak_diameter_spanner(
     graph: Graph,
     primitive: ClusteringPrimitive | None = None,
-    *,
-    with_report: bool = False,
-):
+) -> EdgeSet:
     """Sparse spanner from any 3-separated weak-diameter clustering routine.
 
     Rounds of: cluster at least half the still-unclustered nodes, add
     every T_C edge, then one edge per (unclustered node, neighboring
     cluster) — unique by 3-separation.  Total size is bounded by the
     measured overlaps: sum over rounds of (sum_v xi(v) + |unclustered|).
+    The result's `report` is {"rounds", "size_budget", "max_tree_diameter"}.
     """
     if primitive is None:
         primitive = strong_primitive()
@@ -452,9 +450,7 @@ def weak_diameter_spanner(
                 raise InvariantViolation("node neighbors two 3-separated clusters")
             ids.update(touched.values())
         alive = frozenset(alive - set(member))
-    out = EdgeSet(graph, frozenset(ids))
-    if len(out) > size_budget:
+    if len(ids) > size_budget:
         raise InvariantViolation("spanner exceeded its overlap budget")
-    if with_report:
-        return out, {"rounds": rounds, "size_budget": size_budget, "max_tree_diameter": max_diam}
-    return out
+    report = {"rounds": rounds, "size_budget": size_budget, "max_tree_diameter": max_diam}
+    return EdgeSet(graph, frozenset(ids), report)

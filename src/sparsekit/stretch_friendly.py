@@ -20,7 +20,7 @@ handles arbitrary out-degree-one graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .clustering import Clustering, tree_height
@@ -344,15 +344,13 @@ class PartitionReport:
     undersized_components: tuple[tuple[int, ...], ...]
 
 
-def partition_with_report(
-    graph: Graph, t: int, *, verify_each_round: bool = False
-) -> tuple[Clustering, PartitionReport]:
+def partition(graph: Graph, t: int, *, verify_each_round: bool = False) -> Clustering:
     """Stretch-friendly partition with cluster size >= t (see module doc).
 
     Connected inputs with n >= t end with at most n/t clusters, each of
     size at least 2**ceil(log2 t) >= t and radius below 3 * 2**ceil(log2 t).
     Components smaller than t collapse into single clusters and are
-    flagged in the report.
+    flagged in the `PartitionReport` that rides on the result's `report`.
     """
     if t < 1:
         raise ParameterError("t must be >= 1")
@@ -393,8 +391,4 @@ def partition_with_report(
         clustering.max_radius(),
         undersized,
     )
-    return clustering, report
-
-
-def partition(graph: Graph, t: int, *, verify_each_round: bool = False) -> Clustering:
-    return partition_with_report(graph, t, verify_each_round=verify_each_round)[0]
+    return replace(clustering, report=report)

@@ -33,7 +33,7 @@ fails below; the checker is exact at the dyadic boundary case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -150,15 +150,15 @@ def linear_size_spanner(
     seed: int = 0,
     alpha0: float = DEFAULT_ALPHA0,
     iota: int = 64,
-    with_report: bool = False,
-):
+) -> EdgeSet:
     """O(n)-edge spanner for weighted and unweighted graphs.
 
     mode "randomized" samples clusters with derived coins; mode
     "derandomized" fixes the sample bits by conditional expectation and
     is bit-identical across runs.  In derandomized mode each phase's
     edge count is checked against its budget.  Stretch is certified
-    empirically by the callers (measure_stretch / verify_stretch).
+    empirically by the callers (measure_stretch / verify_stretch).  The
+    result's `report` is a `LinearSizeReport`.
     """
     if mode not in ("randomized", "derandomized"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -223,10 +223,7 @@ def linear_size_spanner(
         final_added = len(final.spanner)
         added.update(lineage[eid] for eid in final.spanner)
 
-    result = EdgeSet(graph, frozenset(added))
-    if with_report:
-        return result, LinearSizeReport(tuple(phases), final_added, len(result))
-    return result
+    return EdgeSet(graph, frozenset(added), LinearSizeReport(tuple(phases), final_added, len(added)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +252,14 @@ def ultra_sparse_spanner(
     inner: Callable[[Graph], EdgeSet] | None = None,
     *,
     verify: bool = False,
-    with_report: bool = False,
-):
+) -> EdgeSet:
     """Spanner with at most n + ceil(n/t) edges (hard assertion).
 
     `inner` produces a sparse spanner of a cluster graph (default: the
     derandomized linear-size construction).  Composed stretch obeys
     (2r+1)(alpha+1)-1 for partition radius r and inner stretch alpha;
     with `verify=True` both stretches are measured exactly and the
-    report carries the certified bound.
+    result's `report`, an `UltraSparseReport`, carries the certified bound.
     """
     if t < 1:
         raise ParameterError("t must be >= 1")
@@ -276,7 +272,7 @@ def ultra_sparse_spanner(
         clustering = partition(graph, tp)
         cg = contract(graph, clustering)
         inner_edges = inner(cg.graph)
-        composed = compose_spanner(graph, clustering, inner_edges, cluster_graph=cg)
+        composed = compose_spanner(cg, inner_edges)
         if len(composed) <= bound:
             inner_stretch = stretch = stretch_bound = None
             if verify:
@@ -289,8 +285,6 @@ def ultra_sparse_spanner(
                         raise InvariantViolation(
                             f"composed stretch {stretch} exceeds bound {stretch_bound}"
                         )
-            if not with_report:
-                return composed
             report = UltraSparseReport(
                 t=t,
                 t_used=tp,
@@ -304,6 +298,6 @@ def ultra_sparse_spanner(
                 stretch=stretch,
                 stretch_bound=stretch_bound,
             )
-            return composed, report
+            return replace(composed, report=report)
         tp *= 2
     raise InvariantViolation("partition parameter doubling did not converge")

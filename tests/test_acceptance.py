@@ -40,7 +40,7 @@ from sparsekit.certificates import (
 from sparsekit.derand import UtilityContext, conditional_expectation, deterministic_spanner, fix_bits
 from sparsekit.generate import k_connected_random
 from sparsekit.ldc import grow_and_cut, ldc_sparse_spanner
-from sparsekit.stretch_friendly import partition_with_report
+from sparsekit.stretch_friendly import partition
 from sparsekit.ultra_sparse import ultra_sparse_spanner, x_seq_holds
 from sparsekit.verify import verify_stretch, verify_stretch_friendly
 
@@ -114,7 +114,8 @@ def _determinism_fingerprint() -> str:
     g = gnp_graph(48, 0.25, seed=314, weighted=True, max_weight=31)
     payload = []
     payload.append(sorted(deterministic_spanner(g, 3).ids))
-    cl, rep = partition_with_report(g, 4)
+    cl = partition(g, 4)
+    rep = cl.report
     payload.append([(c.root, sorted(c.members)) for c in cl.clusters])
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
@@ -206,7 +207,8 @@ def test_criterion_05_stretch_friendly_partition():
         n = rng.randint(24, 96)
         g = connected_gnp(n, rng.choice([2.6, 3.4, 5.0]) / n * 2, seed=5500 + i, weighted=True, max_weight=50)
         for t in (2, 4, 8):
-            cl, rep = partition_with_report(g, t)
+            cl = partition(g, t)
+            rep = cl.report
             if min(rep.cluster_sizes) < t:
                 failures.append((i, t, "size", min(rep.cluster_sizes)))
             if rep.max_radius > 3 * t:
@@ -229,7 +231,8 @@ def test_criterion_06_grow_and_cut_invariants():
         g = gnp_graph(n, rng.choice([0.04, 0.1, 0.25]), seed=6600 + i)
         t = rng.choice([2, 4])
         try:
-            cl, ledger, steps = grow_and_cut(g, t, with_report=True)
+            cl, ledger = grow_and_cut(g, t)
+            steps = cl.report
         except Exception as ex:  # any invariant violation surfaces here
             failures.append((i, n, t, repr(ex)))
             continue

@@ -71,7 +71,8 @@ def test_skeleton_packing_property():
     # for every cut and layer i: H_i crosses it, or every cut edge lies in
     # the earlier layers' union
     g = connected_gnp(12, 0.35, seed=5)
-    cert, layers = certificate_small_k(g, 3, with_layers=True)
+    cert = certificate_small_k(g, 3)
+    layers = cert.report
     cross = cut_matrix(g, range(g.m))
     import numpy as np
 
@@ -108,7 +109,8 @@ def test_large_k_q1_reduces_to_small_k():
     g = connected_gnp(30, 0.3, seed=11)
     eps = Fraction(2, 5)
     e = eps / 8
-    cert, detail = certificate_large_k(g, 3, eps=eps, seed=4, with_detail=True)
+    cert = certificate_large_k(g, 3, eps=eps, seed=4)
+    detail = cert.report
     assert detail["q"] == 1
     kp = math.ceil(3 * (1 + e) / (1 - e))
     assert cert.ids == certificate_small_k(g, kp, eps=e).ids
@@ -118,7 +120,8 @@ def test_large_k_forced_split_two_case_cuts():
     # tiny c_k forces Q >= 2 on a 14-node instance; exhaustive enumeration
     # then certifies the two-case cut analysis outcome: >= min(|cut|, k)
     g = k_connected_random(14, 4, seed=2)
-    cert, detail = certificate_large_k(g, 4, eps=Fraction(2, 5), seed=7, c_k=0.001, with_detail=True)
+    cert = certificate_large_k(g, 4, eps=Fraction(2, 5), seed=7, c_k=0.001)
+    detail = cert.report
     assert detail["q"] >= 2
     assert verify_certificate(g, cert, 4).ok
     assert len(cert) <= g.n * 4 * (1 + Fraction(2, 5))

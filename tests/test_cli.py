@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsekit.cli import main, parse_bench_config, run_bench
+from sparsekit.cli import ALGOS, main, parse_bench_config, run_bench
 from sparsekit.graph import EdgeSet, Graph
 
 REPO = Path(__file__).resolve().parent.parent
@@ -202,3 +202,42 @@ def test_certificate_verify_on_degenerate_inputs(tmp_path, capsys, variant, name
     assert code == 0 and "Traceback" not in err
     report = json.loads(out)
     assert report["verify_ok"] and report["verify_mode"] == mode and report["verify_detail"] == detail
+
+
+DEGENERATE_SPANNER_INPUTS = {
+    "n0": Graph(0, [], weighted=False),
+    "n1": Graph(1, [], weighted=False),
+    "n2-no-edges": Graph(2, [], weighted=False),
+    "n2-one-edge": Graph(2, [(0, 1)], weighted=False),
+    "n2-zero-weight": Graph(2, [(0, 1, 0)]),
+    "n6-no-edges": Graph(6, [], weighted=False),
+    "n7-disconnected": Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)], weighted=False),
+    "n7-disconnected-weighted": Graph(7, [(0, 1, 3), (1, 2, 1), (2, 0, 5), (4, 5, 2)]),
+    "n6-zero-weights": Graph(6, [(i, (i + 1) % 6, 0) for i in range(6)] + [(0, 3, 0), (1, 4, 2)]),
+}
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SPANNER_INPUTS))
+def test_spanner_cmd_on_degenerate_inputs(tmp_path, capsys, algo, name):
+    # Exit 2 exactly for the two rejected requests (--simulate on a
+    # non-"bs" algorithm, ldc on non-uniform weights); every other run
+    # builds, verifies and simulates with exit 0.
+    graph = DEGENERATE_SPANNER_INPUTS[name]
+    gpath = tmp_path / "g.txt"
+    graph.write(gpath)
+    uniform = len({e.w for e in graph.edges}) <= 1
+    for flags in ([], ["--verify"], ["--simulate"], ["--verify", "--simulate"]):
+        for k, t in ((1, 1), (3, 4)):
+            argv = ["spanner", "-i", str(gpath), "--algo", algo, "--k", str(k), "--t", str(t), *flags]
+            code = main([*argv, "--json", "-"])
+            out, err = capsys.readouterr()
+            rejected = ("--simulate" in flags and algo != "bs") or (algo == "ldc" and not uniform)
+            assert code == (2 if rejected else 0), (argv, err)
+            if rejected:
+                assert err.startswith("error: ") and not out
+                continue
+            report = json.loads(out)
+            assert (report["n"], report["m"]) == (graph.n, graph.m) and report["edges"] <= graph.m
+            if "--simulate" in flags:
+                assert report["distributed_matches"]

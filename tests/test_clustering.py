@@ -93,7 +93,7 @@ def test_compose_spanner_trivial_partition():
     cl = Clustering.trivial(g)
     cg = contract(g, cl)
     all_edges = EdgeSet(cg.graph, frozenset(range(cg.graph.m)))
-    out = compose_spanner(g, cl, all_edges, cluster_graph=cg)
+    out = compose_spanner(cg, all_edges)
     assert out.ids == frozenset(range(g.m))
 
 
@@ -104,7 +104,7 @@ def test_compose_spanner_single_cluster_is_tree_only():
         parent[v] = v - 1
     cl = Clustering.from_parent_maps(g, [(0, parent)])
     cg = contract(g, cl)
-    out = compose_spanner(g, cl, EdgeSet(cg.graph, frozenset()), cluster_graph=cg)
+    out = compose_spanner(cg, EdgeSet(cg.graph, frozenset()))
     assert len(out) == 5  # the spanning path only
 
 
@@ -114,9 +114,9 @@ def test_compose_spanner_rejects_spanner_of_another_graph():
     cl = Clustering.trivial(g)
     cg = contract(g, cl)
     with pytest.raises(InvalidClusteringError, match="does not match the contraction"):
-        compose_spanner(g, cl, EdgeSet(Graph(4, [(0, 2), (2, 1), (1, 3)]), frozenset([0])), cluster_graph=cg)
+        compose_spanner(cg, EdgeSet(Graph(4, [(0, 2), (2, 1), (1, 3)]), frozenset([0])))
     equal = contract(g, cl).graph  # built separately, equal edges
-    assert compose_spanner(g, cl, EdgeSet(equal, frozenset([0])), cluster_graph=cg).ids == frozenset([0])
+    assert compose_spanner(cg, EdgeSet(equal, frozenset([0]))).ids == frozenset([0])
 
 
 def test_compose_spanner_requires_partition():
@@ -124,7 +124,7 @@ def test_compose_spanner_requires_partition():
     cl = Clustering.from_parent_maps(g, [(0, {0: 0, 1: 0})])  # node 2 unclustered
     cg = contract(g, cl)
     with pytest.raises(InvalidClusteringError):
-        compose_spanner(g, cl, EdgeSet(cg.graph, frozenset()), cluster_graph=cg)
+        compose_spanner(cg, EdgeSet(cg.graph, frozenset()))
 
 
 def test_compose_eight_cycle_three_of_four_cluster_edges():
@@ -133,7 +133,7 @@ def test_compose_eight_cycle_three_of_four_cluster_edges():
     cg = contract(g, cl)
     drop = max(range(cg.graph.m))
     sub = EdgeSet(cg.graph, frozenset(range(cg.graph.m)) - {drop})
-    out = compose_spanner(g, cl, sub, cluster_graph=cg)
+    out = compose_spanner(cg, sub)
     assert len(out) == 7
     # r = 1 partition, alpha = 3 spanner of the 4-cycle: stretch <= (2+1)(3+1)-1 = 11
     assert verify_stretch(g, out, 11).ok
@@ -168,7 +168,7 @@ def test_compose_stretch_bound_random(rng):
         alpha, _ = measure_stretch(cg.graph, keep)
         if alpha == float("inf"):
             continue
-        out = compose_spanner(g, cl, EdgeSet(cg.graph, keep), cluster_graph=cg)
+        out = compose_spanner(cg, EdgeSet(cg.graph, keep))
         r = cl.max_radius()
         bound = (2 * r + 1) * (alpha + 1) - 1
         assert verify_stretch(g, out, bound).ok

@@ -132,7 +132,8 @@ def test_grow_and_cut_invariants_on_random_graphs(rng):
         n = rng.randint(30, 140)
         g = gnp_graph(n, rng.choice([0.03, 0.08, 0.2]), seed=700 + trial)
         for t in (2, 4):
-            cl, ledger, steps = grow_and_cut(g, t, with_report=True)
+            cl, ledger = grow_and_cut(g, t)
+            steps = cl.report
             assert cl.is_partition(g)
             assert len(ledger.edges) * t <= n
             assert all(s.bad_mass * 5 <= s.unclustered_before for s in steps)
@@ -140,7 +141,8 @@ def test_grow_and_cut_invariants_on_random_graphs(rng):
 
 def test_grow_and_cut_200_node_random():
     g = gnp_graph(200, 0.03, seed=41)
-    cl, ledger, steps = grow_and_cut(g, 4, with_report=True)
+    cl, ledger = grow_and_cut(g, 4)
+    steps = cl.report
     assert cl.is_partition(g)
     assert len(steps) >= 1
 
@@ -309,7 +311,8 @@ def test_ldc_spanner_rejects_weighted():
 
 def test_weak_spanner_default_primitive_matches_strong_size_class():
     g = grid_graph(8, 8)
-    weak, rep = weak_diameter_spanner(g, with_report=True)
+    weak = weak_diameter_spanner(g)
+    rep = weak.report
     ratio, _ = measure_stretch(g, weak.ids)
     assert ratio <= rep["max_tree_diameter"] + 1
     assert len(weak) <= rep["size_budget"]
@@ -332,7 +335,8 @@ def test_weak_spanner_hand_built_steiner_overlap():
         calls.append("rest")
         return strong_primitive(3)(graph, alive)
 
-    es, rep = weak_diameter_spanner(g, primitive, with_report=True)
+    es = weak_diameter_spanner(g, primitive)
+    rep = es.report
     assert calls[0] == "first"
     ratio, _ = measure_stretch(g, es.ids)
     assert ratio <= rep["max_tree_diameter"] + 1
@@ -352,7 +356,8 @@ def test_weak_spanner_disconnected_cluster_through_steiner():
             ]
         return strong_primitive(3)(graph, alive)
 
-    es, rep = weak_diameter_spanner(g, primitive, with_report=True)
+    es = weak_diameter_spanner(g, primitive)
+    rep = es.report
     ratio, _ = measure_stretch(g, es.ids)
     assert ratio <= rep["max_tree_diameter"] + 1
 

@@ -112,7 +112,7 @@ def test_hop_outputs_pinned():
     # and a grid, recorded before those traversals shared one BFS.
     from sparsekit.generate import gnp, grid
     from sparsekit.ldc import carve_clustering, grow_and_cut, ldc_sparse_spanner, weak_diameter_spanner
-    from sparsekit.stretch_friendly import partition_with_report
+    from sparsekit.stretch_friendly import partition
     from sparsekit.ultra_sparse import ultra_sparse_spanner
 
     def trees(clustering):
@@ -126,17 +126,20 @@ def test_hop_outputs_pinned():
     )
     for g in graphs:
         for t in (2, 4, 8):
-            cl, report = partition_with_report(g, t)
+            cl = partition(g, t)
+            report = cl.report
             h.update(repr((trees(cl), report)).encode())
         for t_sep in (1, 3):
             sc = carve_clustering(g, t_sep)
             h.update(repr((trees(sc.clustering), sc.diameters, sc.demoted)).encode())
         for t in (1, 2):
-            cl, ledger, steps = grow_and_cut(g, t, with_report=True)
+            cl, ledger = grow_and_cut(g, t)
+            steps = cl.report
             h.update(repr((trees(cl), sorted(ledger.witness.items()), steps)).encode())
         for t in (2, 8):
             h.update(repr(sorted(ultra_sparse_spanner(g, t).ids)).encode())
-        out, report = weak_diameter_spanner(g, with_report=True)
+        out = weak_diameter_spanner(g)
+        report = out.report
         h.update(repr((sorted(out.ids), sorted(report.items()))).encode())
         if not g.weighted:
             for t in (2, 4):

@@ -13,7 +13,6 @@ from sparsekit.stretch_friendly import (
     match_small,
     merge_step,
     partition,
-    partition_with_report,
 )
 from sparsekit.verify import verify_stretch_friendly
 
@@ -135,7 +134,8 @@ def test_partition_t1_is_trivial():
 
 
 def test_partition_path8_t4():
-    cl, rep = partition_with_report(path_graph(8), 4, verify_each_round=True)
+    cl = partition(path_graph(8), 4, verify_each_round=True)
+    rep = cl.report
     assert len(cl.clusters) <= 2
     assert all(s >= 4 for s in rep.cluster_sizes)
     assert rep.max_radius <= 11
@@ -144,7 +144,8 @@ def test_partition_path8_t4():
 def test_partition_weighted_cycle_avoids_heavy_edge():
     edges = [(i, (i + 1) % 16, 1) for i in range(15)] + [(15, 0, 100)]
     g = Graph(16, edges)
-    cl, rep = partition_with_report(g, 4, verify_each_round=True)
+    cl = partition(g, 4, verify_each_round=True)
+    rep = cl.report
     assert verify_stretch_friendly(g, cl).ok
     tree_edges = cl.all_tree_edges()
     assert 15 not in tree_edges  # the heavy closing edge is never forced
@@ -155,7 +156,8 @@ def test_partition_invariants_random_weighted(rng):
         n = rng.randint(10, 64)
         g = connected_gnp(n, 4.0 / n, seed=1000 + trial, weighted=True, max_weight=40)
         for t in (2, 4, 8):
-            cl, rep = partition_with_report(g, t, verify_each_round=True)
+            cl = partition(g, t, verify_each_round=True)
+            rep = cl.report
             assert verify_stretch_friendly(g, cl).ok
             rounds = max(t - 1, 0).bit_length()
             assert all(s >= min(1 << rounds, n) for s in rep.cluster_sizes) or n < t
@@ -166,7 +168,8 @@ def test_partition_invariants_random_weighted(rng):
 
 def test_partition_disconnected_flags_small_components():
     g = Graph(9, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (7, 8, 1)])
-    cl, rep = partition_with_report(g, 4)
+    cl = partition(g, 4)
+    rep = cl.report
     assert cl.is_partition(g)
     comps = {tuple(c) for c in rep.undersized_components}
     assert (6,) in comps and (7, 8) in comps
@@ -180,6 +183,7 @@ def test_partition_rejects_bad_t():
 def test_partition_unweighted_random(rng):
     for trial in range(6):
         g = connected_gnp(40, 0.12, seed=300 + trial)
-        cl, rep = partition_with_report(g, 8, verify_each_round=True)
+        cl = partition(g, 8, verify_each_round=True)
+        rep = cl.report
         assert verify_stretch_friendly(g, cl).ok
         assert len(cl.clusters) <= 40 / 8

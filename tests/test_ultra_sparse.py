@@ -58,7 +58,8 @@ def test_linear_size_degenerate_is_single_kill_pass():
 
 def test_linear_size_phases_engage_in_test_mode():
     g = connected_gnp(180, 0.1, seed=5)
-    es, rep = linear_size_spanner(g, alpha0=4, with_report=True)
+    es = linear_size_spanner(g, alpha0=4)
+    rep = es.report
     assert len(rep.phases) >= 1
     assert rep.phases[0].survivors < g.n
     ratio, _ = measure_stretch(g, es.ids)
@@ -68,7 +69,8 @@ def test_linear_size_phases_engage_in_test_mode():
 
 def test_linear_size_derandomized_budgets_and_determinism():
     g = connected_gnp(150, 0.12, seed=6, weighted=True, max_weight=30)
-    a, rep = linear_size_spanner(g, alpha0=4, with_report=True)
+    a = linear_size_spanner(g, alpha0=4)
+    rep = a.report
     b = linear_size_spanner(g, alpha0=4)
     assert a.ids == b.ids
     for ph in rep.phases:
@@ -97,7 +99,8 @@ def test_linear_size_mode_validation():
 def test_ultra_sparse_exact_bound():
     for t in (1, 2, 4, 8, 16):
         g = connected_gnp(96, 0.08, seed=40 + t)
-        out, rep = ultra_sparse_spanner(g, t, with_report=True)
+        out = ultra_sparse_spanner(g, t)
+        rep = out.report
         assert len(out) <= g.n + math.ceil(g.n / t)
         assert rep.size == len(out) and rep.bound == g.n + math.ceil(g.n / t)
 
@@ -115,7 +118,8 @@ def test_ultra_sparse_whole_cluster_graph_inner():
     # bound thanks to the calibration loop
     g = connected_gnp(60, 0.15, seed=9, weighted=True, max_weight=20)
     inner = lambda cg: EdgeSet(cg, frozenset(range(cg.m)))  # noqa: E731
-    out, rep = ultra_sparse_spanner(g, 1, inner=inner, with_report=True)
+    out = ultra_sparse_spanner(g, 1, inner=inner)
+    rep = out.report
     assert len(out) <= 2 * g.n
     assert rep.inner_stretch is None  # verify off by default
 
@@ -123,7 +127,8 @@ def test_ultra_sparse_whole_cluster_graph_inner():
 def test_ultra_sparse_composition_stretch_certificate():
     for seed in (0, 1, 2):
         g = connected_gnp(72, 0.1, seed=60 + seed, weighted=bool(seed % 2), max_weight=15)
-        out, rep = ultra_sparse_spanner(g, 4, verify=True, with_report=True)
+        out = ultra_sparse_spanner(g, 4, verify=True)
+        rep = out.report
         assert rep.stretch is not None and rep.stretch_bound is not None
         assert Fraction(rep.stretch) <= rep.stretch_bound
         assert verify_stretch(g, out, rep.stretch_bound).ok
@@ -162,13 +167,15 @@ def test_linear_size_bench_scale_constants():
     # weighted variant runs twice the iterations per phase and stays within
     # its per-phase budgets (its measured constant is larger at this scale).
     g = connected_gnp(1024, 0.05, seed=33)
-    es, rep = linear_size_spanner(g, alpha0=4, with_report=True)
+    es = linear_size_spanner(g, alpha0=4)
+    rep = es.report
     assert len(es) <= 10 * g.n
     assert rep.phases and rep.phases[0].g >= 4
 
     gw = connected_gnp(512, 0.1, seed=33, weighted=True, max_weight=40)
-    esw, repw = linear_size_spanner(gw, alpha0=4, with_report=True)
-    g_uw = linear_size_spanner(connected_gnp(512, 0.1, seed=33), alpha0=4, with_report=True)[1]
+    esw = linear_size_spanner(gw, alpha0=4)
+    repw = esw.report
+    g_uw = linear_size_spanner(connected_gnp(512, 0.1, seed=33), alpha0=4).report
     # weighted mode doubles the iteration count inside the ceiling
     assert 2 * g_uw.phases[0].g - 1 <= repw.phases[0].g <= 2 * g_uw.phases[0].g
     for ph in repw.phases:
