@@ -64,10 +64,12 @@ from .ldc import (
 )
 from .stretch_friendly import (
     Color3Program,
+    Forest,
     PartitionReport,
     color3,
     match_small,
     merge_step,
+    orient,
     partition,
 )
 from .ultra_sparse import (

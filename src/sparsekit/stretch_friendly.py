@@ -10,46 +10,69 @@ cluster's minimum-weight boundary edge outward, 3-color the resulting
 out-degree-one cluster graph, compute a maximal matching between small
 clusters greedily over the three color classes, and merge matched pairs
 plus every unmatched small cluster into its out-neighbor's new cluster.
-Merging along minimum boundary edges preserves stretch-friendliness,
-which the tests re-check after every round.
-
 Orienting minimum boundary edges (ties broken by edge id) can create
 only mutual 2-cycles, never longer ones, but the coloring routine
 handles arbitrary out-degree-one graphs.
+
+Between rounds the clusters live on one :class:`Forest`: a parent list
+over all nodes plus each cluster's root and member list.  A round
+(:func:`merge_step`) copies the parent list and reroots each attached
+piece along its root path below the other endpoint of its edge.
+Merging along minimum boundary edges preserves stretch-friendliness,
+which the tests re-check by stepping `merge_step` and running
+`verify_stretch_friendly` on the clustering after every round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .clustering import Clustering, tree_height
+from .clustering import Clustering
+from .congest import Halt
 from .errors import InvariantViolation, ParameterError
-from .graph import Graph
-from .verify import verify_stretch_friendly
+from .graph import Edge, Graph
 
 
 # ---------------------------------------------------------------------------
-# 3-coloring of out-degree-one graphs (Cole-Vishkin style)
+# 3-coloring of out-degree-one graphs (Cole-Vishkin style).  Each step is one
+# pure function shared by `color3` and `Color3Program`; `parent_color` is the
+# out-neighbor's color, or None for a sink.
 # ---------------------------------------------------------------------------
 
 
-def _cv_step(color: int, parent_color: int) -> int:
-    diff = color ^ parent_color
+def _cv_step(color: int, parent_color: int | None = None) -> int:
+    """Color reduction: the lowest bit where `color` differs from the
+    out-neighbor's color, and its own bit there (a sink compares against
+    its color with the low bit flipped)."""
+    diff = color ^ (color ^ 1 if parent_color is None else parent_color)
     low = (diff & -diff).bit_length() - 1
     return 2 * low + ((color >> low) & 1)
 
 
+def _shift_down(color: int, parent_color: int | None = None) -> int:
+    """Take the out-neighbor's color; a sink takes (color + 1) % 3, which
+    differs from the color its in-neighbors now hold."""
+    return (color + 1) % 3 if parent_color is None else parent_color
+
+
+def _recolor(cls: int, color: int, old: int, parent_color: int | None = None) -> int:
+    """After a shift, move a node of color `cls` into {0, 1, 2}, avoiding
+    its pre-shift color `old` (all its in-neighbors inherited it) and its
+    out-neighbor's current color."""
+    if color != cls:
+        return color
+    return min(c for c in (0, 1, 2) if c != old and c != parent_color)
+
+
 def cv_rounds_needed(max_id: int) -> int:
-    """Color-reduction rounds until every color drops below 6."""
-    bits = max(max_id, 1).bit_length()
-    rounds = 0
-    while (1 << bits) - 1 >= 6:
-        bits = _cv_step((1 << bits) - 1, 0).bit_length()
-        rounds += 1
-        if rounds > 64:  # log* of anything representable
-            break
-    return rounds + 2  # slack: bound above is per-value, not per-orbit
+    """Color-reduction rounds until every color drops below 6 (a color
+    below 2**b becomes at most 2b - 1), plus two spare rounds, which keep
+    a proper coloring below 6 proper and below 6."""
+    top, rounds = max(max_id, 1), 0
+    while top >= 6:
+        top, rounds = 2 * top.bit_length() - 1, rounds + 1
+    return rounds + 2
 
 
 def color3(out: Mapping[int, int | None], ids: Mapping[int, int] | None = None) -> dict[int, int]:
@@ -68,28 +91,17 @@ def color3(out: Mapping[int, int | None], ids: Mapping[int, int] | None = None) 
         raise ParameterError("initial colors must be unique")
     for v in nodes:
         tgt = out[v]
+        if tgt is not None and tgt not in colors:
+            raise ParameterError(f"out-neighbor {tgt} of {v} is not a node")
         if tgt is not None and colors[tgt] == colors[v]:
             raise ParameterError("out-edge with equal endpoint ids")
 
+    # colors.get(None) is None, the parent color of a sink
     while any(c >= 6 for c in colors.values()):
-        colors = {
-            v: _cv_step(colors[v], colors[out[v]] if out[v] is not None else colors[v] ^ 1)
-            for v in nodes
-        }
-
+        colors = {v: _cv_step(colors[v], colors.get(out[v])) for v in nodes}
     for cls in (3, 4, 5):
-        old = colors
-        colors = {
-            v: (old[out[v]] if out[v] is not None else (old[v] + 1) % 3) for v in nodes
-        }
-        shifted = dict(colors)
-        for v in nodes:
-            if shifted[v] != cls:
-                continue
-            forbidden = {old[v]}  # all children inherited this value
-            if out[v] is not None:
-                forbidden.add(colors[out[v]])
-            colors[v] = min(c for c in (0, 1, 2) if c not in forbidden)
+        shifted = {v: _shift_down(colors[v], colors.get(out[v])) for v in nodes}
+        colors = {v: _recolor(cls, shifted[v], colors[v], shifted.get(out[v])) for v in nodes}
 
     for v in nodes:  # properness is cheap to re-check and load-bearing below
         tgt = out[v]
@@ -103,230 +115,198 @@ def color3(out: Mapping[int, int | None], ids: Mapping[int, int] | None = None) 
 class Color3Program:
     """Distributed version of :func:`color3` for the round simulator.
 
-    The orientation is global input (each node knows its out-neighbor);
-    colors travel as plain integers.  Every node runs the same fixed
-    round schedule derived from n, so no termination detection is
-    needed: `cv_rounds_needed(n)` reduction rounds, then three
-    shift+recolor rounds taking two message rounds each.
+    The orientation is global input (each node knows its out-neighbor,
+    which must be adjacent); colors travel as plain integers.  Every
+    node runs the same fixed round schedule derived from n, so no
+    termination detection is needed: `cv_rounds_needed(n)` reduction
+    rounds, then three shift+recolor rounds taking two message rounds
+    each.  The state is (color, color before the last shift).
     """
 
     def __init__(self, out: Mapping[int, int | None]):
         self.out = dict(out)
 
-    def _encode(self, color: int) -> bytes:
-        return color.to_bytes(8, "little")
-
     def init(self, view, seed):
-        from .congest import Halt
-
-        me = view.node
-        state = {
-            "color": me,
-            "phase": 0,
-            "cv_left": cv_rounds_needed(view.n),
-            "cls": 3,
-            "old": None,
-        }
+        tgt = self.out.get(view.node)
+        if tgt is not None and all(nb != tgt for _, nb, _ in view.incident):
+            raise ParameterError(f"out-neighbor {tgt} of node {view.node} is not adjacent")
         if not view.incident:  # isolated logical node: color 0 immediately
             return None, {}, Halt(0)
-        out = {nb: self._encode(me) for _, nb, _ in view.incident}
-        return state, out, None
+        return (view.node, None), self._send(view, view.node), None
 
     def step(self, state, view, round_no, inbox):
-        from .congest import Halt
+        color, old = state
+        tgt = self.out.get(view.node)
+        pc = int.from_bytes(inbox[tgt], "little") if tgt in inbox else None
+        j = round_no - cv_rounds_needed(view.n) - 1  # < 0: reduce; even: shift; odd: recolor 3 + j // 2
+        if j < 0:
+            color = _cv_step(color, pc)
+        elif j % 2 == 0:
+            color, old = _shift_down(color, pc), color
+        else:
+            color = _recolor(3 + j // 2, color, old, pc)
+            if j == 5:
+                return None, {}, Halt(color)
+        return (color, old), self._send(view, color), None
 
-        colors_in = {s: int.from_bytes(m, "little") for s, m in inbox.items()}
-        me = view.node
-        tgt = self.out.get(me)
-        pc = colors_in.get(tgt) if tgt is not None else None
-        if state["phase"] == 0:
-            state["color"] = _cv_step(
-                state["color"], pc if pc is not None else state["color"] ^ 1
-            )
-            state["cv_left"] -= 1
-            if state["cv_left"] == 0:
-                state["phase"] = 1
-        elif state["phase"] == 1:  # shift down
-            state["old"] = state["color"]
-            state["color"] = pc if pc is not None else (state["color"] + 1) % 3
-            state["phase"] = 2
-        else:  # recolor the current class, then move to the next
-            if state["color"] == state["cls"]:
-                forbidden = {state["old"]}
-                if pc is not None:
-                    forbidden.add(pc)
-                state["color"] = min(c for c in (0, 1, 2) if c not in forbidden)
-            state["cls"] += 1
-            state["phase"] = 1 if state["cls"] <= 5 else 3
-        if state["phase"] == 3:
-            return None, {}, Halt(state["color"])
-        out = {nb: self._encode(state["color"]) for _, nb, _ in view.incident}
-        return state, out, None
+    @staticmethod
+    def _send(view, color: int) -> dict[int, bytes]:
+        return {nb: color.to_bytes(8, "little") for _, nb, _ in view.incident}
 
 
 # ---------------------------------------------------------------------------
-# Work clusters and the per-round view
+# One round on the parent forest
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TreeCluster:
-    root: int
-    members: set[int]
-    parent: dict[int, int]
+@dataclass(frozen=True)
+class Forest:
+    """The work clusters between rounds: `parent` over all nodes (a root
+    points to itself) and each cluster's (root, members), in ascending
+    root order, so cluster indices order clusters by root."""
 
-    def reroot(self, new_root: int) -> None:
-        path = [new_root]
-        while self.parent[path[-1]] != path[-1]:
-            path.append(self.parent[path[-1]])
-        for a, b in zip(path[1:], path):
-            self.parent[a] = b
-        self.parent[new_root] = new_root
-        self.root = new_root
+    parent: list[int]
+    clusters: list[tuple[int, list[int]]]
 
-    def radius(self) -> int:
-        reached, height = tree_height(self.root, self.parent)
-        if reached != len(self.members):
-            raise InvariantViolation("work cluster tree does not span its members")
-        return height
+    @classmethod
+    def singletons(cls, n: int) -> "Forest":
+        return cls(list(range(n)), [(v, [v]) for v in range(n)])
 
+    def labels(self) -> list[int]:
+        """node -> index of its cluster."""
+        label = [0] * len(self.parent)
+        for idx, (_, members) in enumerate(self.clusters):
+            for v in members:
+                label[v] = idx
+        return label
 
-@dataclass
-class OrientedClusterView:
-    """Per-round snapshot: sizes, chosen boundary edges, colors, partners."""
+    def radii(self) -> list[int]:
+        """Each cluster's tree height, walked down level by level from its
+        root; raises unless every tree spans exactly its members."""
+        label = self.labels()
+        children: list[list[int]] = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if v != p:
+                children[p].append(v)
+        radii = []
+        for idx, (root, members) in enumerate(self.clusters):
+            ok = self.parent[root] == root and label[root] == idx
+            reached, height, frontier = 1, 0, [root]
+            while ok and (frontier := [c for v in frontier for c in children[v]]):
+                ok = all(label[c] == idx for c in frontier)
+                reached += len(frontier)
+                height += 1
+            if not ok or reached != len(members):
+                raise InvariantViolation("work cluster tree does not span its members")
+            radii.append(height)
+        return radii
 
-    sizes: list[int]
-    # cluster -> (edge id, target cluster) or None when no boundary edge exists
-    out: list[tuple[int, int] | None]
-    small: list[bool]
-    colors: dict[int, int] = field(default_factory=dict)
-    partner: dict[int, int] = field(default_factory=dict)
-
-
-def build_oriented_view(graph: Graph, clusters: list[TreeCluster], level: int) -> OrientedClusterView:
-    """Steps (sizes + minimum boundary edge orientation) for one round.
-
-    `level` is the 1-based round index: a cluster is small when its size
-    is below 2**level.  The minimum boundary edge breaks ties by edge
-    id, so two clusters can orient the same edge toward each other, but
-    no longer orientation cycles can arise.
-    """
-    member: dict[int, int] = {}
-    for idx, c in enumerate(clusters):
-        for v in c.members:
-            member[v] = idx
-    best: list[tuple[int, int] | None] = [None] * len(clusters)  # (w, eid)
-    for e in graph.edges:
-        cu, cv = member[e.u], member[e.v]
-        if cu == cv:
-            continue
-        for side in (cu, cv):
-            if best[side] is None or (e.w, e.id) < best[side]:
-                best[side] = (e.w, e.id)
-    out: list[tuple[int, int] | None] = [None] * len(clusters)
-    for idx, b in enumerate(best):
-        if b is None:
-            continue
-        e = graph.edges[b[1]]
-        target = member[e.v] if member[e.u] == idx else member[e.u]
-        out[idx] = (b[1], target)
-    sizes = [len(c.members) for c in clusters]
-    small = [s < (1 << level) for s in sizes]
-    return OrientedClusterView(sizes, out, small)
+    def clustering(self, graph: Graph) -> Clustering:
+        return Clustering.from_parent_maps(
+            graph, [(root, {v: self.parent[v] for v in members}) for root, members in self.clusters]
+        )
 
 
-def match_small(view: OrientedClusterView, clusters: list[TreeCluster]) -> set[tuple[int, int]]:
-    """Maximal matching over orientation edges between small clusters.
+def orient(graph: Graph, label: list[int], count: int) -> list[tuple[int, int] | None]:
+    """Each cluster's minimum (w, id) boundary edge as (edge id, target
+    cluster), or None without one; `label` maps node -> cluster index."""
+    best: list[Edge | None] = [None] * count
+    for e in graph.edges:  # ascending id, so a strictly lighter edge is needed to replace
+        cu, cv = label[e.u], label[e.v]
+        if cu != cv:
+            if best[cu] is None or e.w < best[cu].w:
+                best[cu] = e
+            if best[cv] is None or e.w < best[cv].w:
+                best[cv] = e
+    return [
+        None if e is None else (e.id, label[e.v] if label[e.u] == idx else label[e.u])
+        for idx, e in enumerate(best)
+    ]
+
+
+def match_small(out: list[tuple[int, int] | None], small: list[bool], roots: list[int]) -> dict[int, int]:
+    """Maximal matching over orientation edges between small clusters,
+    as winner -> target.
 
     Three sweeps, one per color class: every unmatched small cluster of
     the sweep's color proposes along its out-edge when the target is a
     small unmatched cluster; each target accepts its smallest proposer
-    (by root id).  Proper coloring makes proposers and acceptors of one
-    sweep disjoint, so the sweeps are conflict-free, and maximality
-    follows because an unmatched small pair along an oriented edge would
-    have produced a proposal.
+    (by index, which orders clusters by root).  Proper coloring makes
+    proposers and acceptors of one sweep disjoint, so the sweeps are
+    conflict-free, and maximality follows because an unmatched small
+    pair along an oriented edge would have produced a proposal.
     """
-    active = [i for i, o in enumerate(view.out) if o is not None]
-    view.colors = color3(
-        {i: view.out[i][1] for i in active},
-        ids={i: clusters[i].root for i in active},
-    )
-    matched: dict[int, int] = {}
-    pairs: set[tuple[int, int]] = set()
+    active = [i for i, o in enumerate(out) if o is not None]
+    colors = color3({i: out[i][1] for i in active}, ids={i: roots[i] for i in active})
+    winners: dict[int, int] = {}
+    matched: set[int] = set()
+
+    def open_pair(c: int) -> bool:  # c and its target both small and unmatched
+        tgt = out[c][1]
+        return small[c] and small[tgt] and c not in matched and tgt not in matched
+
     for sweep in (0, 1, 2):
         proposals: dict[int, list[int]] = {}
         for c in active:
-            if not view.small[c] or c in matched or view.colors[c] != sweep:
-                continue
-            _, tgt = view.out[c]
-            if view.small[tgt] and tgt not in matched:
-                proposals.setdefault(tgt, []).append(c)
-        for tgt in sorted(proposals, key=lambda i: clusters[i].root):
-            props = proposals[tgt]
-            winner = min(props, key=lambda i: clusters[i].root)
-            matched[winner] = tgt
-            matched[tgt] = winner
-            pairs.add((winner, tgt))  # oriented winner -> tgt
-    for c in active:  # maximality is part of the contract
-        if view.small[c] and c not in matched:
-            _, tgt = view.out[c]
-            if view.small[tgt] and tgt not in matched:
-                raise InvariantViolation("matching not maximal")
-    view.partner = matched
-    return pairs
+            if colors[c] == sweep and open_pair(c):
+                proposals.setdefault(out[c][1], []).append(c)
+        for tgt, props in proposals.items():
+            winners[props[0]] = tgt  # proposers arrive in ascending index
+            matched |= {props[0], tgt}
+    if any(open_pair(c) for c in active):  # maximality is part of the contract
+        raise InvariantViolation("matching not maximal")
+    return winners
 
 
-def merge_step(
-    graph: Graph,
-    clusters: list[TreeCluster],
-    view: OrientedClusterView,
-    pairs: set[tuple[int, int]],
-) -> list[TreeCluster]:
-    """Merge matched pairs, keep large clusters, absorb unmatched smalls.
+def _hang(parent: list[int], v: int, below: int) -> None:
+    """Reroot v's tree at v by reversing its root path, then hang v below `below`."""
+    prev = below
+    while parent[v] != v:
+        parent[v], prev, v = prev, v, parent[v]
+    parent[v] = prev
+
+
+def merge_step(graph: Graph, forest: Forest, level: int) -> Forest:
+    """One round at 1-based `level` (small means size < 2**level):
+    orient, match, merge; returns a new forest and leaves `forest` as is.
 
     A merge along an edge oriented C1 -> C2 reroots C1's tree at its
-    endpoint and hangs it below C2; the new root is C2's root.  Unmatched
-    small clusters attach to the *new* cluster of their out-neighbor,
-    which is matched or large by maximality.
+    endpoint and hangs it below the other endpoint; the merged cluster
+    keeps C2's root.  Matched winners join their targets, and every
+    unmatched small cluster joins its out-neighbor's new cluster, which
+    is matched or large by maximality.  Raises unless every new tree
+    spans its members with radius below 3 * 2**level.
     """
-    new_of: dict[int, TreeCluster] = {}
-    merged: list[TreeCluster] = []
-
-    def attach(src: int, eid: int, target_cluster: TreeCluster) -> None:
-        e = graph.edges[eid]
-        u_src = e.u if e.u in clusters[src].members else e.v
-        u_dst = e.other(u_src)
-        if u_dst not in target_cluster.members:
-            raise InvariantViolation("orientation edge does not reach the target cluster")
-        piece = clusters[src]
-        piece.reroot(u_src)
-        target_cluster.members |= piece.members
-        target_cluster.parent.update(piece.parent)
-        target_cluster.parent[u_src] = u_dst
-
-    for idx, c in enumerate(clusters):
-        if view.out[idx] is None or not view.small[idx]:
-            nc = TreeCluster(c.root, set(c.members), dict(c.parent))
-            merged.append(nc)
-            new_of[idx] = nc
-    for winner, tgt in sorted(pairs, key=lambda p: clusters[p[1]].root):
-        nc = TreeCluster(clusters[tgt].root, set(clusters[tgt].members), dict(clusters[tgt].parent))
-        merged.append(nc)
-        new_of[tgt] = nc
-        eid, tgt2 = view.out[winner]
-        if tgt2 != tgt:
-            raise InvariantViolation("matched pair without its orientation edge")
-        attach(winner, eid, nc)
-        new_of[winner] = nc
-    for idx in range(len(clusters)):
-        if idx in new_of or view.out[idx] is None or not view.small[idx]:
-            continue
-        eid, tgt = view.out[idx]
-        if tgt not in new_of:
+    label = forest.labels()
+    roots = [root for root, _ in forest.clusters]
+    out = orient(graph, label, len(roots))
+    small = [len(members) < (1 << level) for _, members in forest.clusters]
+    winners = match_small(out, small, roots)
+    head = list(range(len(roots)))  # the cluster whose root c ends under
+    for w, tgt in winners.items():
+        head[w] = tgt
+    matched = set(winners) | set(winners.values())
+    loose = [c for c, o in enumerate(out) if o is not None and small[c] and c not in matched]
+    for c in loose:
+        if small[out[c][1]] and out[c][1] not in matched:
             raise InvariantViolation("unmatched small cluster has no merge target")
-        attach(idx, eid, new_of[tgt])
-        new_of[idx] = new_of[tgt]
-    merged.sort(key=lambda c: c.root)
+        head[c] = head[out[c][1]]
+
+    parent = list(forest.parent)
+    grown: dict[int, list[int]] = {}
+    for c, tgt in [*winners.items(), *((c, out[c][1]) for c in loose)]:
+        e = graph.edges[out[c][0]]
+        u_src, u_dst = (e.u, e.v) if label[e.u] == c else (e.v, e.u)
+        if label[u_src] != c or label[u_dst] != tgt:
+            raise InvariantViolation("orientation edge does not reach the target cluster")
+        _hang(parent, u_src, u_dst)
+        grown.setdefault(head[c], []).extend(forest.clusters[c][1])
+    merged = Forest(parent, [
+        (root, members + grown.get(c, [])) for c, (root, members) in enumerate(forest.clusters) if head[c] == c
+    ])
+    bound = 3 * (1 << level)
+    if (radius := max(merged.radii(), default=0)) >= bound:
+        raise InvariantViolation(f"round {level}: radius {radius} >= {bound}")
     return merged
 
 
@@ -344,7 +324,7 @@ class PartitionReport:
     undersized_components: tuple[tuple[int, ...], ...]
 
 
-def partition(graph: Graph, t: int, *, verify_each_round: bool = False) -> Clustering:
+def partition(graph: Graph, t: int) -> Clustering:
     """Stretch-friendly partition with cluster size >= t (see module doc).
 
     Connected inputs with n >= t end with at most n/t clusters, each of
@@ -354,41 +334,21 @@ def partition(graph: Graph, t: int, *, verify_each_round: bool = False) -> Clust
     """
     if t < 1:
         raise ParameterError("t must be >= 1")
-    clusters = [TreeCluster(v, {v}, {v: v}) for v in range(graph.n)]
+    forest = Forest.singletons(graph.n)
     rounds = max(t - 1, 0).bit_length()  # ceil(log2 t)
     for level in range(1, rounds + 1):
-        view = build_oriented_view(graph, clusters, level)
-        pairs = match_small(view, clusters)
-        clusters = merge_step(graph, clusters, view, pairs)
-        bound = 3 * (1 << level)
-        for c in clusters:
-            if c.radius() >= bound:
-                raise InvariantViolation(f"round {level}: radius {c.radius()} >= {bound}")
-        if verify_each_round:
-            interim = Clustering.from_parent_maps(
-                graph, [(c.root, c.parent) for c in clusters]
-            )
-            rep = verify_stretch_friendly(graph, interim)
-            if not rep.ok:
-                raise InvariantViolation(f"round {level}: {rep}")
-    clustering = Clustering.from_parent_maps(graph, [(c.root, c.parent) for c in clusters])
-    comps = graph.components()
-    comp_clusters = [{clustering.membership[v] for v in comp} for comp in comps]
-    undersized = tuple(
-        tuple(comp) for comp, cids in zip(comps, comp_clusters) if len(comp) < t and len(cids) == 1
-    )
-    for comp, cids in zip(comps, comp_clusters):
-        if len(comp) >= t:
-            for ci in cids:
-                if len(clustering.clusters[ci].members) < t:
-                    raise InvariantViolation(
-                        f"component with {len(comp)} nodes kept a cluster of size "
-                        f"{len(clustering.clusters[ci].members)} < t={t}"
-                    )
-    report = PartitionReport(
-        rounds,
-        tuple(len(c.members) for c in clustering.clusters),
-        clustering.max_radius(),
-        undersized,
-    )
+        forest = merge_step(graph, forest, level)
+    clustering = forest.clustering(graph)
+    sizes = tuple(len(c.members) for c in clustering.clusters)
+    undersized = []
+    for comp in graph.components():
+        cids = {clustering.membership[v] for v in comp}
+        if len(comp) < t and len(cids) == 1:
+            undersized.append(tuple(comp))
+        for ci in cids if len(comp) >= t else ():
+            if sizes[ci] < t:
+                raise InvariantViolation(
+                    f"component with {len(comp)} nodes kept a cluster of size {sizes[ci]} < t={t}"
+                )
+    report = PartitionReport(rounds, sizes, clustering.max_radius(), tuple(undersized))
     return replace(clustering, report=report)

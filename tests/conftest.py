@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from sparsekit.graph import Graph
+
+# Subprocesses find sparsekit the way pytest's `pythonpath` setting does.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
 
 
 def gnp_graph(n: int, p: float, seed: int = 0, *, weighted: bool = False, max_weight: int = 50) -> Graph:

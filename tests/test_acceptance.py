@@ -44,7 +44,7 @@ from sparsekit.stretch_friendly import partition
 from sparsekit.ultra_sparse import ultra_sparse_spanner, x_seq_holds
 from sparsekit.verify import verify_stretch, verify_stretch_friendly
 
-from conftest import connected_gnp, cycle_graph, gnp_graph, grid_graph
+from conftest import SUBPROCESS_ENV, connected_gnp, cycle_graph, gnp_graph, grid_graph
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -132,7 +132,7 @@ def test_criterion_03_determinism():
     )
     outs = {
         subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO, env=SUBPROCESS_ENV
         ).stdout.strip()
         for _ in range(2)
     }

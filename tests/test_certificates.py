@@ -1,11 +1,9 @@
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -25,7 +23,7 @@ from sparsekit.errors import ParameterError
 from sparsekit.generate import k_connected_random
 from sparsekit.graph import EdgeSet, Graph
 
-from conftest import complete_graph, connected_gnp, cycle_graph, gnp_graph
+from conftest import SUBPROCESS_ENV, complete_graph, connected_gnp, cycle_graph, gnp_graph
 
 
 def test_edge_connectivity_basics():
@@ -285,7 +283,5 @@ def test_edge_connectivity_matches_stoer_wagner(case):
 
 
 def test_import_does_not_load_networkx():
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, sparsekit; sys.exit('networkx' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV).returncode == 0

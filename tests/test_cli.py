@@ -10,6 +10,8 @@ import pytest
 from sparsekit.cli import ALGOS, main, parse_bench_config, run_bench
 from sparsekit.graph import EdgeSet, Graph
 
+from conftest import SUBPROCESS_ENV
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -19,6 +21,7 @@ def cli(*args: str, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd or REPO,
+        env=SUBPROCESS_ENV,
     )
 
 

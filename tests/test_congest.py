@@ -218,6 +218,23 @@ def test_color3_program_on_two_cluster_path():
     assert trace.logical_rounds == 8
 
 
+def test_color3_program_rejects_non_adjacent_out_neighbor():
+    # node 0's out-neighbor 2 is not adjacent on the path 0-1-2
+    with pytest.raises(ParameterError):
+        run(path_graph(3), Color3Program({0: 2, 1: 0}))
+
+
+def test_color3_program_reduces_large_ids_below_six():
+    # ids below 1024 take four reduction rounds on this directed path; with
+    # fewer, color 7 survives the shifts and ends as an output.
+    p = [678, 669, 833, 245, 32, 378, 191, 447, 460]
+    g = Graph(1024, [(a, b, 1) for a, b in zip(p, p[1:])])
+    out = dict(zip(p, p[1:]))
+    colors = run(g, Color3Program(out)).outputs
+    assert set(colors.values()) <= {0, 1, 2}
+    assert all(colors[a] != colors[b] for a, b in out.items())
+
+
 def test_derived_randomness_is_stable():
     assert derive_randomness(1, 2, 3) == derive_randomness(1, 2, 3)
     assert derive_randomness(1, 2, 3) != derive_randomness(1, 2, 4)

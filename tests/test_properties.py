@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,24 @@ def test_ultra_sparse_bound_property(seed, t):
     g = gnp_graph(40, 0.2, seed=seed, weighted=seed % 2 == 0, max_weight=20)
     out = ultra_sparse_spanner(g, t)
     assert len(out) <= g.n + math.ceil(g.n / t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 60), st.sampled_from([0.0, 0.1, 0.5]))
+def test_color3_program_properly_colors_random_orientations(seed, n, sink_p):
+    # every node points along one of its graph edges, or is a sink
+    from sparsekit.congest import run
+    from sparsekit.stretch_friendly import Color3Program
+
+    rng = random.Random(seed)
+    g = gnp_graph(n, min(1.0, 3.0 / n), seed=seed)
+    out = {}
+    for v in range(n):
+        nbs = [g.edges[eid].other(v) for eid in g.adj[v]]
+        out[v] = rng.choice(nbs) if nbs and rng.random() >= sink_p else None
+    colors = run(g, Color3Program(out)).outputs
+    assert set(colors) == set(range(n)) and set(colors.values()) <= {0, 1, 2}
+    assert all(tgt is None or colors[v] != colors[tgt] for v, tgt in out.items())
 
 
 def test_hop_outputs_pinned():
