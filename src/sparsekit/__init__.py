@@ -24,7 +24,7 @@ from .certificates import (
     edge_connectivity,
     verify_certificate,
 )
-from .clustering import Cluster, ClusterGraph, Clustering, compose_spanner, contract
+from .clustering import Cluster, ClusterGraph, Clustering, Forest, compose_spanner, contract
 from .congest import (
     Halt,
     LocalView,
@@ -64,7 +64,6 @@ from .ldc import (
 )
 from .stretch_friendly import (
     Color3Program,
-    Forest,
     PartitionReport,
     color3,
     match_small,

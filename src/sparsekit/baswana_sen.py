@@ -26,6 +26,11 @@ The loop around the step is written once too: `run_iterations` runs g
 sampled iterations, seeded or derandomized, and `final_pass` runs the
 sample-nothing iteration and asserts that nothing survives it.  The
 seeded, derandomized and linear-size spanners are built from these two.
+
+The state's clusters live on a :class:`sparsekit.clustering.Forest`.  An
+iteration copies its parent list, points each joiner at the other end of
+its join edge and each dying node at -1, and lists a sampled cluster's
+members before its joiners.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .clustering import Cluster, Clustering
+from .clustering import Clustering, Forest
 from .congest import Halt, LocalView, derived_coin, pack_bits, unpack_bits
 from .errors import InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
@@ -63,9 +68,8 @@ class IterationStats:
 class BSState:
     graph: Graph
     iteration: int  # 1-based index of the NEXT iteration to run
-    alive: frozenset[int]
     alive_edges: frozenset[int]
-    clustering: Clustering  # partition of the alive nodes
+    clustering: Forest  # clusters of the alive nodes; a dead node has parent -1
     spanner: frozenset[int]
     dead_edges: Mapping[int, int]  # edge id -> iteration in which it died
     stats: IterationStats | None = None
@@ -75,9 +79,8 @@ def initial_state(graph: Graph) -> BSState:
     return BSState(
         graph=graph,
         iteration=1,
-        alive=frozenset(range(graph.n)),
         alive_edges=frozenset(range(graph.m)),
-        clustering=Clustering.trivial(graph),
+        clustering=Forest.singletons(graph.n),
         spanner=frozenset(),
         dead_edges={},
     )
@@ -88,9 +91,11 @@ def cluster_entries(
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, ...]]]:
     """A node's adjacent clusters, from its alive edges given as (root, weight, eid).
 
-    `root` is the root of the neighbor's cluster.  Returns one entry
-    (weight, root, eid) per cluster, holding the minimum (weight, eid)
-    edge into it, sorted by (weight, root); and each entry's edge ids.
+    `root` names the neighbor's cluster: its root, or any key that orders
+    clusters as their roots do, such as the index into a forest.  Returns
+    one entry (weight, root, eid) per cluster, holding the minimum
+    (weight, eid) edge into it, sorted by (weight, root); and each
+    entry's edge ids.
     """
     groups: dict[int, list[tuple[int, int]]] = {}
     for root, w, eid in edges:
@@ -132,7 +137,7 @@ class NodeAdjacency:
 
     own: int  # index of the node's cluster
     weights: tuple[int, ...]
-    clusters: tuple[int, ...]  # index into the clustering, per entry
+    clusters: tuple[int, ...]  # index into the forest's clusters, per entry
     eids: tuple[int, ...]  # minimum edge into the cluster, per entry
     edges_by_entry: tuple[tuple[int, ...], ...]
 
@@ -149,25 +154,25 @@ class NodeAdjacency:
 def build_adjacency(state: BSState) -> dict[int, NodeAdjacency]:
     """Per-node adjacent-cluster view shared by all execution paths."""
     graph = state.graph
-    member = state.clustering.membership
-    clusters = state.clustering.clusters
-    index = {c.root: idx for idx, c in enumerate(clusters)}
+    label = state.clustering.labels()  # cluster indices order clusters by root
     views: dict[int, NodeAdjacency] = {}
-    for v in state.alive:
+    for v, own in enumerate(label):
+        if own == -1:
+            continue
         alive = []
         for eid in graph.adj[v]:
             if eid not in state.alive_edges:
                 continue
             e = graph.edges[eid]
-            cu = member.get(e.other(v))
-            if cu is None:
+            cu = label[e.other(v)]
+            if cu == -1:
                 raise InvariantViolation(f"alive edge {eid} touches unclustered node {e.other(v)}")
-            alive.append((clusters[cu].root, e.w, eid))
+            alive.append((cu, e.w, eid))
         entries, edges_by_entry = cluster_entries(alive)
         views[v] = NodeAdjacency(
-            own=member[v],
+            own=own,
             weights=tuple(w for w, _, _ in entries),
-            clusters=tuple(index[root] for _, root, _ in entries),
+            clusters=tuple(cu for _, cu, _ in entries),
             eids=tuple(eid for _, _, eid in entries),
             edges_by_entry=tuple(edges_by_entry),
         )
@@ -186,10 +191,10 @@ def run_iteration(
     views: Mapping[int, NodeAdjacency] | None = None,
 ) -> BSState:
     """Apply one iteration under the given per-cluster sample bits."""
-    clusters = state.clustering.clusters
-    if len(samples) != len(clusters):
+    forest = state.clustering
+    if len(samples) != len(forest.clusters):
         raise ParameterError(
-            f"sample vector has {len(samples)} bits for {len(clusters)} clusters"
+            f"sample vector has {len(samples)} bits for {len(forest.clusters)} clusters"
         )
     graph = state.graph
     i = state.iteration
@@ -199,11 +204,12 @@ def run_iteration(
     added: set[int] = set()
     killed: set[int] = set()
     died: set[int] = set()
-    joiners: dict[int, list[tuple[int, int, int]]] = {}  # cluster idx -> [(node, parent, edge)]
+    parent = list(forest.parent)
+    joiners: dict[int, list[int]] = {}  # cluster index -> joining nodes, ascending
     added_per_node: dict[int, int] = {}
     adjacent_counts: dict[int, int] = {}
 
-    for v in sorted(state.alive):
+    for v in sorted(views):
         view = views[v]
         adjacent_counts[v] = view.d
         if samples[view.own]:
@@ -217,42 +223,17 @@ def run_iteration(
         added_per_node[v] = len(take)
         if first is None:
             died.add(v)
+            parent[v] = -1
         else:
-            eid = view.eids[first]
-            joiners.setdefault(view.clusters[first], []).append((v, graph.edges[eid].other(v), eid))
+            parent[v] = graph.edges[view.eids[first]].other(v)
+            joiners.setdefault(view.clusters[first], []).append(v)
 
-    # Assemble the output partition: sampled clusters plus their joiners.
-    new_clusters: list[Cluster] = []
-    new_alive: set[int] = set()
-    for idx, c in enumerate(clusters):
-        if not samples[idx]:
-            continue
-        extra = joiners.get(idx, ())
-        parent = dict(c.parent)
-        members = set(c.members)
-        tree_edges = set(c.tree_edges)
-        radius = c.radius
-        for v, p, eid in extra:
-            parent[v] = p
-            members.add(v)
-            tree_edges.add(eid)
-            radius = max(radius, c.depth_of(p) + 1)
-        new_alive |= members
-        new_clusters.append(
-            Cluster(
-                len(new_clusters),
-                c.root,
-                frozenset(members),
-                parent,
-                frozenset(tree_edges),
-                radius,
-            )
-        )
-    new_clustering = Clustering.from_clusters(new_clusters)
-    if new_clustering.max_radius() > i:
-        raise InvariantViolation(
-            f"iteration {i}: cluster radius {new_clustering.max_radius()} exceeds {i}"
-        )
+    new_forest = Forest(parent, [
+        (root, members + joiners.get(idx, []))
+        for idx, (root, members) in enumerate(forest.clusters) if samples[idx]
+    ])
+    if (radius := max(new_forest.radii(), default=0)) > i:
+        raise InvariantViolation(f"iteration {i}: cluster radius {radius} exceeds {i}")
 
     dead_edges = dict(state.dead_edges)
     for eid in killed:
@@ -261,9 +242,8 @@ def run_iteration(
     return BSState(
         graph=graph,
         iteration=i + 1,
-        alive=frozenset(new_alive),
         alive_edges=state.alive_edges - killed,
-        clustering=new_clustering,
+        clustering=new_forest,
         spanner=state.spanner | added,
         dead_edges=dead_edges,
         stats=stats,
@@ -278,8 +258,8 @@ def run_iteration(
 def random_samples(state: BSState, p: Fraction, seed: int, salt: bytes = _COIN_SALT) -> SampleVector:
     """Independent Bernoulli(p) bit per cluster, derived from the root id."""
     return tuple(
-        derived_coin(seed, c.root, state.iteration, p, salt)
-        for c in state.clustering.clusters
+        derived_coin(seed, root, state.iteration, p, salt)
+        for root, _ in state.clustering.clusters
     )
 
 
@@ -323,17 +303,21 @@ def run_iterations(
 def final_pass(state: BSState) -> BSState:
     """The sample-nothing iteration: every alive node dies, so nothing may survive."""
     state = run_iteration(state, (False,) * len(state.clustering.clusters))
-    if state.alive or state.alive_edges:
+    if state.clustering.clusters or state.alive_edges:
         raise InvariantViolation("nodes or edges survived the final iteration")
     return state
 
 
-def _spanner(graph: Graph, k: int, seed: int = 0, **sampler) -> EdgeSet:
+def _spanner(graph: Graph, k: int, seed: int = 0, *, deterministic: bool = False, **sampler) -> EdgeSet:
     """k-1 sampled iterations at `_sampling_p(n, k)`, then the final pass."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    p = _sampling_p(graph.n, k)  # 0 when k = 1 or n <= 1: the final pass alone does the work
-    state = run_iterations(initial_state(graph), k - 1 if p else 0, p, seed, **sampler)
+    p = _sampling_p(graph.n, k)
+    # The final pass alone does the work when p = 0 (k = 1 or n <= 1), and
+    # when p = 1 for seeded coins: every cluster is then sampled, so an
+    # iteration changes nothing.  Bit fixing rejects p = 1 itself.
+    g = k - 1 if p and (p < 1 or deterministic) else 0
+    state = run_iterations(initial_state(graph), g, p, seed, deterministic=deterministic, **sampler)
     return EdgeSet(graph, final_pass(state).spanner)
 
 
@@ -371,7 +355,7 @@ def run_g_iterations(
         initial_state(graph), g, p, seed,
         salt=salt, deterministic=deterministic, iota=iota, enforce_budget=enforce_budget,
     )
-    return EdgeSet(graph, state.spanner), state.clustering, state
+    return EdgeSet(graph, state.spanner), state.clustering.clustering(graph), state
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Q = floor(k eps'^2 / (c_K ln n)) parts (eps' = eps/8 internally), each
 part gets a k'-certificate with k' = ceil(k(1+eps')/(Q(1-eps'))), and
 the union is exact — a cut of size at most k/(1-eps') is kept entirely
 (each part sees at most k' of its edges), a larger cut keeps at least
-k/Q edges per part.  With Q = 1 this degenerates to the sequential
-construction by definition.
+k/Q edges per part.  With Q = 1 the one part has no splitting error to
+absorb, so k' = k and this is the sequential construction.
 
 Verification is exact: up to 18 nodes it enumerates all 2^(n-1)-1 cuts
 in blocks of rows.  Beyond, H keeps min(|cut|, k) edges of every cut iff
@@ -186,23 +186,18 @@ def certificate_large_k(
     e = eps / 8
     ln_n = rat_ln_upper(max(graph.n, 2))
     q = max(1, math.floor(k * e * e / (Fraction(str(c_k)) * ln_n)))
-    kp = math.ceil(k * (1 + e) / (q * (1 - e)))
-    if q == 1:
-        ids = certificate_small_k(graph, kp, eps=e).ids
-        parts: list[list[int]] = [list(range(graph.m))]
-    else:
-        parts = karger_parts(graph, q, seed)
-        acc: set[int] = set()
-        for part in parts:
-            sub, emap = graph.edge_subgraph(part)
-            part_cert = certificate_small_k(sub, kp, eps=e)
-            acc.update(emap[i] for i in part_cert.ids)
-        ids = frozenset(acc)
+    # one part has no splitting error to absorb: the sequential build
+    kp = math.ceil(k * (1 + e) / (q * (1 - e))) if q > 1 else k
+    parts = karger_parts(graph, q, seed)
+    ids: set[int] = set()
+    for part in parts:
+        sub, emap = graph.edge_subgraph(part)
+        ids.update(emap[i] for i in certificate_small_k(sub, kp, eps=e).ids)
     if len(ids) > graph.n * k * (1 + 8 * e):
         raise InvariantViolation(
             f"certificate has {len(ids)} edges, cap {graph.n * k} * (1+{8 * e})"
         )
-    return EdgeSet(graph, ids, {"q": q, "k_part": kp, "parts": parts})
+    return EdgeSet(graph, frozenset(ids), {"q": q, "k_part": kp, "parts": parts})
 
 
 @dataclass(frozen=True)

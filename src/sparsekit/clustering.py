@@ -8,14 +8,21 @@ covers every node.  Contracting a graph along a clustering yields the
 cluster graph: one node per cluster, one edge per neighboring cluster
 pair, weighted by the minimum original edge weight between the pair and
 remembering a witness edge that achieves it.
+
+Clusters under construction, in the Baswana-Sen iterations and in the
+stretch-friendly partition's rounds, live on one :class:`Forest`: a
+parent list over all nodes, in which a root points to itself and an
+unclustered (dead) node holds -1, plus each cluster's root and member
+list.  A `Clustering` is built from a forest only where a caller needs
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import InvalidClusteringError
+from .errors import InvalidClusteringError, InvariantViolation
 from .graph import EdgeSet, Graph
 
 
@@ -36,16 +43,13 @@ class Cluster:
         return d
 
 
-def tree_height(root: int, parent: Mapping[int, int]) -> tuple[int, int]:
-    """(nodes reached, height) of the parent-pointer tree hanging below
-    `root`, walked down level by level; nodes on a cycle are never reached."""
-    children: dict[int, list[int]] = {}
-    for v, p in parent.items():
-        if v != p:
-            children.setdefault(p, []).append(v)
-    reached, height, frontier = 1, 0, [root]
-    while frontier := [c for v in frontier for c in children.get(v, ())]:
-        reached += len(frontier)
+def tree_height(root: int, children: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]) -> tuple[list, int]:
+    """(nodes reached, height) of the tree hanging below `root`, walked
+    down level by level; `children[v]` lists v's children.  Nodes on a
+    cycle are never reached, so the walk ends unless `root` is on one."""
+    reached, height, frontier = [root], 0, [root]
+    while frontier := [c for v in frontier for c in children[v]]:
+        reached += frontier
         height += 1
     return reached, height
 
@@ -60,6 +64,7 @@ def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int,
     if root not in members or parent[root] != root:
         raise InvalidClusteringError(f"cluster {cluster_id}: root {root} not a fixed point")
     tree_edges: set[int] = set()
+    children: dict[int, list[int]] = {v: [] for v in members}
     for v, p in parent.items():
         if v == root:
             continue
@@ -69,8 +74,9 @@ def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int,
         if eid is None:
             raise InvalidClusteringError(f"cluster {cluster_id}: no edge between {v} and parent {p}")
         tree_edges.add(eid)
-    reached, radius = tree_height(root, parent)
-    if reached != len(members):
+        children[p].append(v)
+    reached, radius = tree_height(root, children)
+    if len(reached) != len(members):
         raise InvalidClusteringError(f"cluster {cluster_id}: parent pointers do not reach all members")
     return Cluster(cluster_id, root, members, dict(parent), frozenset(tree_edges), radius)
 
@@ -83,32 +89,16 @@ class Clustering:
     report: Any = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_clusters(cls, clusters: Iterable[Cluster]) -> "Clustering":
-        cl = tuple(clusters)
+    def from_parent_maps(cls, graph: Graph, parts: Iterable[tuple[int, Mapping[int, int]]]) -> "Clustering":
+        """Build from (root, parent_map) pairs; cluster ids follow input order."""
+        clusters = tuple(build_cluster(graph, i, root, parent) for i, (root, parent) in enumerate(parts))
         membership: dict[int, int] = {}
-        for idx, c in enumerate(cl):
-            if c.cluster_id != idx:
-                raise InvalidClusteringError("cluster_id must equal its index")
+        for c in clusters:
             for v in c.members:
                 if v in membership:
                     raise InvalidClusteringError(f"node {v} in two clusters")
-                membership[v] = idx
-        return cls(cl, membership)
-
-    @classmethod
-    def from_parent_maps(cls, graph: Graph, parts: Iterable[tuple[int, Mapping[int, int]]]) -> "Clustering":
-        """Build from (root, parent_map) pairs; cluster ids follow input order."""
-        return cls.from_clusters(
-            build_cluster(graph, i, root, parent) for i, (root, parent) in enumerate(parts)
-        )
-
-    @classmethod
-    def trivial(cls, graph: Graph, nodes: Iterable[int] | None = None) -> "Clustering":
-        """Every (given) node its own singleton cluster, ordered by node id."""
-        ns = sorted(nodes) if nodes is not None else range(graph.n)
-        return cls.from_clusters(
-            Cluster(i, v, frozenset((v,)), {v: v}, frozenset(), 0) for i, v in enumerate(ns)
-        )
+                membership[v] = c.cluster_id
+        return cls(clusters, membership)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -142,6 +132,52 @@ class Clustering:
         for c in self.clusters:
             out |= c.tree_edges
         return frozenset(out)
+
+
+@dataclass(frozen=True)
+class Forest:
+    """Clusters under construction: `parent` over all nodes (a root
+    points to itself, an unclustered node holds -1) and each cluster's
+    (root, members), in ascending root order, so cluster indices order
+    clusters by root."""
+
+    parent: list[int]
+    clusters: list[tuple[int, list[int]]]
+
+    @classmethod
+    def singletons(cls, n: int) -> "Forest":
+        return cls(list(range(n)), [(v, [v]) for v in range(n)])
+
+    def labels(self) -> list[int]:
+        """node -> index of its cluster, or -1 for an unclustered node."""
+        label = [-1] * len(self.parent)
+        for idx, (_, members) in enumerate(self.clusters):
+            for v in members:
+                label[v] = idx
+        return label
+
+    def radii(self) -> list[int]:
+        """Each cluster's tree height; raises unless every tree spans
+        exactly its members."""
+        label = self.labels()
+        children: list[list[int]] = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if p != v and p != -1:
+                children[p].append(v)
+        radii = []
+        for idx, (root, members) in enumerate(self.clusters):
+            if self.parent[root] != root:
+                raise InvariantViolation(f"cluster root {root} is not a fixed point")
+            reached, height = tree_height(root, children)
+            if len(reached) != len(members) or any(label[v] != idx for v in reached):
+                raise InvariantViolation(f"cluster tree of root {root} does not span its members")
+            radii.append(height)
+        return radii
+
+    def clustering(self, graph: Graph) -> Clustering:
+        return Clustering.from_parent_maps(
+            graph, [(root, {v: self.parent[v] for v in members}) for root, members in self.clusters]
+        )
 
 
 @dataclass(frozen=True)

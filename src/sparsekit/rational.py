@@ -20,42 +20,34 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     HAVE_GMPY2 = False
 
 
-def integer_kth_root(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for nonnegative integer x and k >= 1."""
-    if x < 0 or k < 1:
-        raise ValueError("integer_kth_root needs x >= 0, k >= 1")
-    if x in (0, 1) or k == 1:
-        return x
-    # Newton iteration on integers; converges fast from a bit-length guess.
-    r = 1 << ((x.bit_length() + k - 1) // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > x:
-        r -= 1
-    return r
+SAMPLING_BITS = 16  # binary digits of the sampling probability's denominator
+LN_BITS = 24  # binary digits of rat_ln_upper's accuracy
 
 
-def sampling_probability(n: int, k: int, bits: int = 16) -> Fraction:
+def sampling_probability(n: int, k: int) -> Fraction:
     """Dyadic rational approximation of n ** (-1/k).
 
     The sampling probability has to be an exact rational so that coin
     comparisons and conditional expectations are exact.  Returns
-    2**bits / floor(n**(1/k) * 2**bits), which is within 2**-bits of the
-    real value and exact whenever n is a perfect k-th power.
+    2**b / floor(n**(1/k) * 2**b) with b = SAMPLING_BITS, which is within
+    2**-b of the real value and exact whenever n is a perfect k-th power.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1, k >= 1")
-    if n == 1:
+    bits, size = SAMPLING_BITS, n.bit_length()
+    # (1 + 2**-b) ** (2**b) >= 2, so k >> b >= size gives (2**b + 1) ** k > n * 2**(b k): p = 1
+    if n == 1 or k >> bits >= size:
         return Fraction(1)
-    root = integer_kth_root(n << (k * bits), k)
-    return Fraction(1 << bits, root)
+    # the largest r with r**k <= n * 2**(b k); 2**b <= r < 2**(b + ceil(size / k))
+    x, lo, hi = n << (k * bits), 1 << bits, 1 << (bits - (-size // k))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= x else (lo, mid)
+    return Fraction(1 << bits, lo)
 
 
-def rat_ln_upper(x, bits: int = 24) -> Fraction:
-    """A rational upper bound on ln(x), accurate to 2**-bits.
+def rat_ln_upper(x) -> Fraction:
+    """A rational upper bound on ln(x), accurate to 2**-LN_BITS.
 
     mpmath keeps this reproducible across platforms (no dependence
     on the system libm).
@@ -64,8 +56,8 @@ def rat_ln_upper(x, bits: int = 24) -> Fraction:
         raise ValueError("ln of nonpositive value")
     with mpmath.workdps(40):
         v = mpmath.ln(mpmath.mpf(x))
-        scaled = int(mpmath.ceil(v * (1 << bits)))
-    return Fraction(scaled, 1 << bits)
+        scaled = int(mpmath.ceil(v * (1 << LN_BITS)))
+    return Fraction(scaled, 1 << LN_BITS)
 
 
 def log_factor(g: int) -> Fraction:

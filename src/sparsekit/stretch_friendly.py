@@ -14,8 +14,10 @@ Orienting minimum boundary edges (ties broken by edge id) can create
 only mutual 2-cycles, never longer ones, but the coloring routine
 handles arbitrary out-degree-one graphs.
 
-Between rounds the clusters live on one :class:`Forest`: a parent list
-over all nodes plus each cluster's root and member list.  A round
+Between rounds the clusters live on the :class:`Forest` that this
+module imports from :mod:`sparsekit.clustering`, the structure the
+Baswana-Sen iterations grow their clusters on too: a parent list over
+all nodes plus each cluster's root and member list.  A round
 (:func:`merge_step`) copies the parent list and reroots each attached
 piece along its root path below the other endpoint of its edge.
 Merging along minimum boundary edges preserves stretch-friendliness,
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .clustering import Clustering
+from .clustering import Clustering, Forest
 from .congest import Halt
 from .errors import InvariantViolation, ParameterError
 from .graph import Edge, Graph
@@ -157,54 +159,6 @@ class Color3Program:
 # ---------------------------------------------------------------------------
 # One round on the parent forest
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Forest:
-    """The work clusters between rounds: `parent` over all nodes (a root
-    points to itself) and each cluster's (root, members), in ascending
-    root order, so cluster indices order clusters by root."""
-
-    parent: list[int]
-    clusters: list[tuple[int, list[int]]]
-
-    @classmethod
-    def singletons(cls, n: int) -> "Forest":
-        return cls(list(range(n)), [(v, [v]) for v in range(n)])
-
-    def labels(self) -> list[int]:
-        """node -> index of its cluster."""
-        label = [0] * len(self.parent)
-        for idx, (_, members) in enumerate(self.clusters):
-            for v in members:
-                label[v] = idx
-        return label
-
-    def radii(self) -> list[int]:
-        """Each cluster's tree height, walked down level by level from its
-        root; raises unless every tree spans exactly its members."""
-        label = self.labels()
-        children: list[list[int]] = [[] for _ in self.parent]
-        for v, p in enumerate(self.parent):
-            if v != p:
-                children[p].append(v)
-        radii = []
-        for idx, (root, members) in enumerate(self.clusters):
-            ok = self.parent[root] == root and label[root] == idx
-            reached, height, frontier = 1, 0, [root]
-            while ok and (frontier := [c for v in frontier for c in children[v]]):
-                ok = all(label[c] == idx for c in frontier)
-                reached += len(frontier)
-                height += 1
-            if not ok or reached != len(members):
-                raise InvariantViolation("work cluster tree does not span its members")
-            radii.append(height)
-        return radii
-
-    def clustering(self, graph: Graph) -> Clustering:
-        return Clustering.from_parent_maps(
-            graph, [(root, {v: self.parent[v] for v in members}) for root, members in self.clusters]
-        )
 
 
 def orient(graph: Graph, label: list[int], count: int) -> list[tuple[int, int] | None]:

@@ -19,7 +19,7 @@ from sparsekit.baswana_sen import (
     run_iteration,
     spanner,
 )
-from sparsekit.clustering import Clustering
+from sparsekit.clustering import Forest
 from sparsekit.derand import deterministic_spanner
 from sparsekit.errors import InvariantViolation, ParameterError
 from sparsekit.graph import Graph
@@ -30,12 +30,17 @@ from sparsekit.verify import apsp, verify_stretch, verify_stretch_friendly
 from conftest import connected_gnp, cycle_graph, gnp_graph
 
 
+def alive(st):
+    """The nodes in some cluster of the state's forest."""
+    return frozenset(v for _, members in st.clustering.clusters for v in members)
+
+
 def test_iteration_all_sampled_is_inert():
     g = gnp_graph(10, 0.5, seed=1, weighted=True)
     st = initial_state(g)
     nxt = run_iteration(st, (True,) * 10)
     assert nxt.spanner == frozenset()
-    assert nxt.alive == frozenset(range(10))
+    assert alive(nxt) == frozenset(range(10))
     assert len(nxt.clustering.clusters) == 10
     assert nxt.dead_edges == {}
 
@@ -44,7 +49,7 @@ def test_iteration_none_sampled_kills_everything():
     g = gnp_graph(10, 0.5, seed=2, weighted=True)
     st = initial_state(g)
     nxt = run_iteration(st, (False,) * 10)
-    assert nxt.alive == frozenset()
+    assert alive(nxt) == frozenset()
     assert nxt.alive_edges == frozenset()
     # every node added its minimum edge to each adjacent (singleton) cluster,
     # so every edge of a simple graph enters the spanner
@@ -56,11 +61,11 @@ def test_iteration_star_hub_sampled():
     # the hub through its spoke, adding exactly that edge.
     g = Graph(5, [(0, 1, 3), (0, 2, 1), (0, 3, 7), (0, 4, 2)])
     st = initial_state(g)
-    samples = tuple(c.root == 0 for c in st.clustering.clusters)
+    samples = tuple(root == 0 for root, _ in st.clustering.clusters)
     nxt = run_iteration(st, samples)
     assert nxt.spanner == frozenset(range(4))
     assert len(nxt.clustering.clusters) == 1
-    hub = nxt.clustering.clusters[0]
+    hub = nxt.clustering.clustering(g).clusters[0]
     assert hub.root == 0 and hub.members == frozenset(range(5)) and hub.radius == 1
 
 
@@ -71,14 +76,14 @@ def test_iteration_join_adds_strictly_lighter_edges():
     # and 3 join {2} through their own unit edges.
     g = Graph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 1), (2, 3, 1)])
     st = initial_state(g)
-    samples = tuple(c.root == 2 for c in st.clustering.clusters)
+    samples = tuple(root == 2 for root, _ in st.clustering.clusters)
     nxt = run_iteration(st, samples)
     assert nxt.stats.added_per_node[0] == 2  # join edge + strictly lighter
     assert nxt.spanner == frozenset([0, 1, 3, 4])
     assert nxt.alive_edges == frozenset([2])
     assert nxt.dead_edges == {0: 1, 1: 1, 3: 1, 4: 1}
     assert len(nxt.clustering.clusters) == 1
-    assert nxt.clustering.clusters[0].members == frozenset([0, 1, 2, 3])
+    assert nxt.clustering.clustering(g).clusters[0].members == frozenset([0, 1, 2, 3])
 
 
 def test_decide_by_hand():
@@ -104,7 +109,7 @@ def test_join_adds_the_lighter_own_cluster_edge():
     g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 2), (1, 3, 3)])
     st = run_iteration(initial_state(g), (True, False, False, True))
     assert st.alive_edges == frozenset([2, 3])
-    assert [sorted(c.members) for c in st.clustering.clusters] == [[0, 1, 2], [3]]
+    assert [sorted(c.members) for c in st.clustering.clustering(g).clusters] == [[0, 1, 2], [3]]
     view = build_adjacency(st)[1]
     assert view.clusters == (view.own, 1) and view.weights == (2, 3)
     assert view.adds_if_first == (1, 2)
@@ -112,7 +117,7 @@ def test_join_adds_the_lighter_own_cluster_edge():
     assert nxt.stats.added_per_node[1] == 2
     assert nxt.spanner == frozenset([0, 1, 2, 3])
     assert nxt.dead_edges[2] == 2
-    assert sorted(nxt.clustering.clusters[0].members) == [1, 3]
+    assert sorted(nxt.clustering.clustering(g).clusters[0].members) == [1, 3]
 
 
 def test_outputs_pinned():
@@ -153,11 +158,61 @@ def test_loop_and_final_pass_outputs_pinned():
     assert digest == "6a4bb6b743a1b9a9f70d3e805e30bc5d0ec7185e27d114629f35260733cbef52"
 
 
+def state_summary(st):
+    """What the state-trajectory pin hashes: each cluster's (root, sorted
+    members, radius), then the alive edges, the spanner and the dead edges."""
+    forest = st.clustering
+    clusters = [(root, sorted(members), r) for (root, members), r in zip(forest.clusters, forest.radii())]
+    return clusters, sorted(st.alive_edges), sorted(st.spanner), sorted(st.dead_edges.items())
+
+
+def test_state_trajectory_pinned(monkeypatch):
+    # sha256 over the state after every iteration and after the final pass
+    # of seeded and derandomized runs, recorded before the state moved onto
+    # the parent forest; only `state_summary` may follow the state's shape.
+    from sparsekit import baswana_sen
+
+    h = hashlib.sha256()
+    states = []
+
+    def recorded(*args, **kwargs):
+        st = run_iteration(*args, **kwargs)
+        states.append(st)
+        h.update(repr(state_summary(st)).encode())
+        return st
+
+    monkeypatch.setattr(baswana_sen, "run_iteration", recorded)
+    graphs = (
+        gnp_graph(48, 0.2, seed=3, weighted=True, max_weight=9),
+        gnp_graph(48, 0.2, seed=4),
+        gnp_graph(48, 0.05, seed=6, weighted=True, max_weight=5),
+    )
+    assert not graphs[2].is_connected()
+    for g in graphs:
+        for k in (2, 3, 4):
+            for seed in (0, 1):
+                spanner(g, k, seed)
+            deterministic_spanner(g, k)
+    assert len(states) == 81
+    assert h.hexdigest() == "f0a938082b457a6fac817dc903d6c5e5e52794ad225e62ce2aa0639cb1dd8ef3"
+
+
+def test_sampling_probability_pinned():
+    # sha256 over sampling_probability on a grid of n and k, recorded while
+    # the k-th root was still taken by Newton iteration.
+    ns = [*range(1, 301), 1023, 1024, 1025, 2047, 2048, 4096, 10**6, 2**40 + 1]
+    ks = [*range(1, 40), 64, 100, 257]
+    got = repr([sampling_probability(n, k) for n in ns for k in ks])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "204dfe7c0ca5bcb273e5de52f67ad20a1bccd5b2f1e5e412aaf38ae05b1ce055"
+    )
+
+
 def test_final_pass_raises_when_an_edge_survives():
     # An alive edge with no alive node at either end is touched by no
     # node's step, so the sample-nothing pass leaves it alive.
     g = Graph(2, [(0, 1, 1)])
-    state = replace(initial_state(g), alive=frozenset(), clustering=Clustering.from_clusters(()))
+    state = replace(initial_state(g), clustering=Forest([-1, -1], []))
     with pytest.raises(InvariantViolation, match="survived the final iteration"):
         final_pass(state)
     assert final_pass(initial_state(g)).spanner == frozenset([0])
@@ -179,6 +234,62 @@ def test_p0_runs_only_the_final_pass(monkeypatch):
         assert spanner(Graph(n, []), 1000).ids == frozenset()
         assert deterministic_spanner(Graph(n, []), 1000).ids == frozenset()
     assert len(calls) == 4
+
+
+def test_p1_iterations_change_nothing(monkeypatch):
+    # At p = 1 every coin comes up 1, so an iteration samples every cluster
+    # and returns its input state one iteration on.  The seeded spanner
+    # therefore runs only the final pass and returns spanner(g, 1), while
+    # bit fixing rejects p = 1.
+    from sparsekit import baswana_sen
+
+    g = gnp_graph(20, 0.3, seed=7, weighted=True)
+    st = run_iteration(initial_state(g), random_samples(initial_state(g), Fraction(1, 2), 0))
+    assert 0 < len(st.clustering.clusters) < g.n
+    for _ in range(3):
+        samples = random_samples(st, Fraction(1), seed=5)
+        assert all(samples)
+        nxt = run_iteration(st, samples)
+        assert nxt.iteration == st.iteration + 1
+        assert (nxt.clustering, nxt.alive_edges, nxt.spanner, nxt.dead_edges) == (
+            st.clustering, st.alive_edges, st.spanner, st.dead_edges
+        )
+        st = nxt
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(baswana_sen, "run_iteration", counted)
+    k = 10**8
+    assert sampling_probability(g.n, k) == 1
+    assert spanner(g, k, seed=3).ids == spanner(g, 1).ids
+    assert len(calls) == 2
+    with pytest.raises(ParameterError, match="0 < p < 1"):
+        deterministic_spanner(g, k)
+
+
+def test_run_iteration_leaves_its_input_forest_alone():
+    # The next state gets a new forest: the input's parent list and member
+    # lists are unchanged, and each dying node holds parent -1 and sits in
+    # no cluster of the new one.
+    deaths = 0
+    for seed in range(4):
+        g = gnp_graph(30, 0.2, seed=200 + seed, weighted=bool(seed % 2), max_weight=9)
+        st = initial_state(g)
+        while st.clustering.clusters:
+            forest = st.clustering
+            before = (list(forest.parent), [(root, list(members)) for root, members in forest.clusters])
+            nxt = run_iteration(st, random_samples(st, Fraction(1, 3), seed))
+            assert (forest.parent, forest.clusters) == before
+            label = nxt.clustering.labels()
+            for v in nxt.stats.died:
+                assert nxt.clustering.parent[v] == -1 and label[v] == -1
+            deaths += len(nxt.stats.died)
+            st = nxt
+    assert deaths > 0
 
 
 def test_sample_vector_length_checked():
@@ -220,9 +331,10 @@ def test_dead_edge_stretch_and_friendliness():
                 e = g.edges[eid]
                 assert dist[e.u][e.v] <= (2 * died_at - 1) * e.w
             for st in history[1:-1]:
-                rep = verify_stretch_friendly(g, st.clustering, edge_ids=st.alive_edges)
+                clustering = st.clustering.clustering(g)
+                rep = verify_stretch_friendly(g, clustering, edge_ids=st.alive_edges)
                 assert rep.ok
-                assert st.clustering.max_radius() <= st.iteration - 1
+                assert clustering.max_radius() <= st.iteration - 1
 
 
 def test_unweighted_survivors_add_at_most_one_edge():
@@ -265,7 +377,7 @@ def test_run_g_iterations_g0_is_identity():
 def test_run_g_iterations_p0_kills_all():
     g = gnp_graph(10, 0.4, seed=9)
     edges, clustering, state = run_g_iterations(g, 1, 0)
-    assert len(clustering.clusters) == 0 and not state.alive
+    assert len(clustering.clusters) == 0 and not alive(state)
     assert edges.ids == frozenset(range(g.m))
 
 

@@ -110,8 +110,22 @@ def test_large_k_q1_reduces_to_small_k():
     cert = certificate_large_k(g, 3, eps=eps, seed=4)
     detail = cert.report
     assert detail["q"] == 1
-    kp = math.ceil(3 * (1 + e) / (1 - e))
+    kp = 3  # one part: k' = k
+    assert detail["k_part"] == kp
     assert cert.ids == certificate_small_k(g, kp, eps=e).ids
+
+
+def test_large_k_one_part_meets_its_size_cap():
+    # With one part there is no splitting error to absorb, so k' = k; a k'
+    # above k used to overrun the n*k*(1+eps) cap at k = 1 and 2 and raise.
+    for seed in range(3):
+        for g in (gnp_graph(30, 0.3, seed=seed), gnp_graph(64, 0.2, seed=seed, weighted=True)):
+            for k in (1, 2):
+                for eps in (Fraction(2, 5), Fraction(1, 4)):
+                    cert = certificate_large_k(g, k, eps=eps, seed=seed)
+                    assert (cert.report["q"], cert.report["k_part"]) == (1, k)
+                    assert len(cert) <= g.n * k * (1 + eps)
+                    assert verify_certificate(g, cert, k).ok
 
 
 def test_large_k_forced_split_two_case_cuts():
@@ -284,4 +298,4 @@ def test_edge_connectivity_matches_stoer_wagner(case):
 
 def test_import_does_not_load_networkx():
     code = "import sys, sparsekit; sys.exit('networkx' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV, timeout=120).returncode == 0

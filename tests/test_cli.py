@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from sparsekit.baswana_sen import spanner
 from sparsekit.cli import ALGOS, main, parse_bench_config, run_bench
 from sparsekit.graph import EdgeSet, Graph
 
@@ -22,6 +24,7 @@ def cli(*args: str, cwd=None):
         text=True,
         cwd=cwd or REPO,
         env=SUBPROCESS_ENV,
+        timeout=120,
     )
 
 
@@ -92,6 +95,31 @@ def test_verification_failure_sets_exit_code(tmp_path):
     assert r.returncode == 0  # spanner of a disconnected graph still verifies edge-wise
     report = json.loads(r.stdout)
     assert report["stretch_ok"]
+
+
+def test_spanner_cmd_at_huge_k(tmp_path, capsys):
+    # At k = 10^8 the sampling probability rounds to 1: the seeded run
+    # skips its sampled iterations, which would change nothing, and
+    # returns spanner(g, 1); bit fixing rejects p = 1.  Both return at once.
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    gpath, espath = tmp_path / "c4.txt", tmp_path / "es.txt"
+    g.write(gpath)
+    for algo, code in (("bs", 0), ("bs-det", 2)):
+        t0 = time.perf_counter()
+        argv = ["spanner", "-i", str(gpath), "--algo", algo, "--k", "100000000", "-o", str(espath), "--json", "-"]
+        assert main(argv) == code
+        assert time.perf_counter() - t0 < 1, algo
+    assert EdgeSet.read(g, espath).ids == spanner(g, 1).ids
+    assert capsys.readouterr().err == "error: derandomization needs 0 < p < 1\n"
+
+
+def test_certificate_large_variant_at_k2(tmp_path, capsys):
+    # One part builds a k-certificate, which meets the n*k*(1+eps) cap.
+    gpath = tmp_path / "g.txt"
+    assert main(["generate", "--kind", "gnp", "--n", "30", "--p", "0.3", "--seed", "1", "-o", str(gpath)]) == 0
+    assert main(["certificate", "-i", str(gpath), "--variant", "large", "--k", "2", "--verify", "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verify_ok"] and report["edges"] <= report["edge_cap"]
 
 
 def test_certificate_cmd(tmp_path):

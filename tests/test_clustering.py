@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sparsekit.clustering import Cluster, Clustering, build_cluster, compose_spanner, contract, tree_height
+from sparsekit.clustering import Cluster, Clustering, Forest, build_cluster, compose_spanner, contract, tree_height
 from sparsekit.errors import InvalidClusteringError
 from sparsekit.graph import EdgeSet, Graph
 from sparsekit.verify import verify_stretch
@@ -32,7 +32,7 @@ def test_contract_triangle():
 
 def test_contract_identity():
     g = gnp_graph(12, 0.4, seed=3, weighted=True)
-    cg = contract(g, Clustering.trivial(g))
+    cg = contract(g, Forest.singletons(g.n).clustering(g))
     assert cg.graph.n == g.n and cg.graph.m == g.m
     # identity witnesses: contracted edge i corresponds to original edge i
     assert sorted(cg.witness) == list(range(g.m))
@@ -83,14 +83,14 @@ def test_cluster_tree_validation():
 
 
 def test_tree_height():
-    assert tree_height(0, {0: 0}) == (1, 0)
-    assert tree_height(0, {0: 0, 1: 0, 2: 1, 3: 0, 4: 2}) == (5, 3)
-    assert tree_height(0, {0: 0, 1: 0, 2: 3, 3: 2}) == (2, 1)  # the 2-3 cycle is never reached
+    assert tree_height(0, {0: []}) == ([0], 0)
+    assert tree_height(0, {0: [1, 3], 1: [2], 2: [4], 3: [], 4: []}) == ([0, 1, 3, 2, 4], 3)
+    assert tree_height(0, [[1], [], [3], [2]]) == ([0, 1], 1)  # the 2-3 cycle is never reached
 
 
 def test_compose_spanner_trivial_partition():
     g = gnp_graph(10, 0.5, seed=2, weighted=True)
-    cl = Clustering.trivial(g)
+    cl = Forest.singletons(g.n).clustering(g)
     cg = contract(g, cl)
     all_edges = EdgeSet(cg.graph, frozenset(range(cg.graph.m)))
     out = compose_spanner(cg, all_edges)
@@ -111,7 +111,7 @@ def test_compose_spanner_single_cluster_is_tree_only():
 def test_compose_spanner_rejects_spanner_of_another_graph():
     # Same n and m as the contraction of the path 0-1-2-3, other edges.
     g = path_graph(4)
-    cl = Clustering.trivial(g)
+    cl = Forest.singletons(g.n).clustering(g)
     cg = contract(g, cl)
     with pytest.raises(InvalidClusteringError, match="does not match the contraction"):
         compose_spanner(cg, EdgeSet(Graph(4, [(0, 2), (2, 1), (1, 3)]), frozenset([0])))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sparsekit.baswana_sen import BaswanaSenProgram, spanner
-from sparsekit.clustering import Clustering
+from sparsekit.clustering import Clustering, Forest
 from sparsekit.congest import (
     Halt,
     RoundTrace,
@@ -178,7 +178,7 @@ def test_round_trace_keeps_zero_round_counts():
 
 def test_run_on_cluster_graph_trivial_matches_run():
     g = connected_gnp(12, 0.3, seed=6)
-    cl = Clustering.trivial(g)
+    cl = Forest.singletons(g.n).clustering(g)
     trace, cg = run_on_cluster_graph(g, cl, FloodMin(4), seed=1)
     direct = run(g, FloodMin(4), seed=1)
     assert trace.outputs == direct.outputs

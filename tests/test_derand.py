@@ -80,7 +80,7 @@ def test_ce_matches_enumeration_random(weighted):
         g = gnp_graph(n, 0.5, seed=rng.randrange(10**6), weighted=weighted, max_weight=9)
         p = Fraction(1, rng.randint(2, 3))
         st = mid_state(g, p, seed=rng.randrange(100))
-        if not st.alive:
+        if not st.clustering.clusters:
             continue
         c = len(st.clustering.clusters)
         ctx = UtilityContext.create(n=n, iteration=2, p=p, g=3, weighted=weighted)
@@ -269,7 +269,7 @@ def test_one_branch_derivation_matches_direct_evaluation():
         g = gnp_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=rng.randrange(10**6), weighted=weighted, max_weight=9)
         p = Fraction(rng.randint(1, 3), rng.randint(4, 7))  # q = p/4 with numerator > 1 too
         st = initial_state(g) if rng.random() < 0.3 else mid_state(g, p, seed=rng.randrange(100))
-        if not st.alive:
+        if not st.clustering.clusters:
             continue
         xi = rng.choice([None, Fraction(rng.randint(1, 4))])  # small xi engages the n^5 term
         ctx = UtilityContext.create(

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
+from sparsekit.clustering import Forest
 from sparsekit.errors import ParameterError
 from sparsekit.graph import Graph
 from sparsekit.stretch_friendly import (
-    Forest,
     color3,
     match_small,
     merge_step,
