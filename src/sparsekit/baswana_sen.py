@@ -263,9 +263,17 @@ def random_samples(state: BSState, p: Fraction, seed: int, salt: bytes = _COIN_S
     )
 
 
-def _sampling_p(n: int, k: int) -> Fraction:
-    """The sampling probability of a k-iteration run on n nodes."""
-    return sampling_probability(n, k) if k >= 2 and n >= 2 else Fraction(0)
+def _schedule(n: int, k: int, deterministic: bool = False) -> tuple[Fraction, int]:
+    """The sampling probability p of a k-iteration run on n nodes, and its
+    number g of sampled iterations before the final pass.
+
+    g = k - 1, except that the final pass alone does the work when p = 0
+    (k = 1 or n <= 1), and when p = 1 for seeded coins: every cluster is
+    then sampled, so an iteration changes nothing.  Bit fixing rejects
+    p = 1 itself.
+    """
+    p = sampling_probability(n, k) if k >= 2 and n >= 2 else Fraction(0)
+    return p, k - 1 if p and (p < 1 or deterministic) else 0
 
 
 def run_iterations(
@@ -309,14 +317,10 @@ def final_pass(state: BSState) -> BSState:
 
 
 def _spanner(graph: Graph, k: int, seed: int = 0, *, deterministic: bool = False, **sampler) -> EdgeSet:
-    """k-1 sampled iterations at `_sampling_p(n, k)`, then the final pass."""
+    """The sampled iterations of `_schedule(n, k)`, then the final pass."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    p = _sampling_p(graph.n, k)
-    # The final pass alone does the work when p = 0 (k = 1 or n <= 1), and
-    # when p = 1 for seeded coins: every cluster is then sampled, so an
-    # iteration changes nothing.  Bit fixing rejects p = 1 itself.
-    g = k - 1 if p and (p < 1 or deterministic) else 0
+    p, g = _schedule(graph.n, k, deterministic)
     state = run_iterations(initial_state(graph), g, p, seed, deterministic=deterministic, **sampler)
     return EdgeSet(graph, final_pass(state).spanner)
 
@@ -368,6 +372,7 @@ class _BSNodeState:
     seed: int
     p: Fraction
     iteration: int  # next iteration to decide
+    last: int  # the final pass's iteration
     root: int
     edge_root: dict[int, int]  # alive edge id -> current root of the other endpoint
     weights: dict[int, int]
@@ -388,9 +393,10 @@ class BaswanaSenProgram:
     itself is `cluster_entries` and `decide`, the code `run_iteration`
     runs.  Each message packs a dead flag, an edge-kill flag, and the
     sender's new cluster root into 2 + ceil(log2 n) bits.  A node halts
-    right after deciding the iteration in which it dies, so k-1 message
-    rounds suffice; each node outputs the sorted list of edge ids it
-    added.
+    right after deciding the iteration in which it dies, so the sampled
+    iterations of `_schedule` (k-1, or none at p = 1, as in `spanner`)
+    take as many message rounds; each node outputs the sorted list of
+    edge ids it added.
     """
 
     def __init__(self, k: int):
@@ -411,7 +417,7 @@ class BaswanaSenProgram:
         """Decide the next iteration; returns (dead, killed edge ids)."""
         i = st.iteration
         st.iteration += 1
-        sampling = i < self.k
+        sampling = i < st.last
         if sampling and self._coin(st.seed, st.root, i, st.p):
             return False, set()
         entries, edges_by_entry = cluster_entries(
@@ -440,17 +446,19 @@ class BaswanaSenProgram:
             st.neighbor_of[eid]: pack_bits(dead | (eid in kills) << 1 | st.root << 2, 2 + st.root_bits)
             for eid in targets
         }
-        if dead or st.iteration > self.k:
+        if dead or st.iteration > st.last:
             return None, msgs, Halt(sorted(st.added))
         return st, msgs, None
 
     # -- NodeProgram interface -------------------------------------------
 
     def init(self, view: LocalView, seed: int):
+        p, g = _schedule(view.n, self.k)
         st = _BSNodeState(
             seed=seed,
-            p=_sampling_p(view.n, self.k),
+            p=p,
             iteration=1,
+            last=g + 1,
             root=view.node,
             edge_root={eid: nb for eid, nb, _ in view.incident},
             weights={eid: w for eid, _, w in view.incident},
@@ -481,11 +489,16 @@ def run_distributed_spanner(
     budget_bits: int | None = None,
     max_rounds: int | None = None,
 ):
-    """Simulate the distributed spanner; returns (EdgeSet, RoundTrace)."""
+    """Simulate the distributed spanner; returns (EdgeSet, RoundTrace).
+
+    `max_rounds` defaults to the program's own bound: one round per
+    sampled iteration.
+    """
     from .congest import run
 
-    program = BaswanaSenProgram(k)
-    trace = run(graph, program, budget_bits=budget_bits, max_rounds=max_rounds, seed=seed)
+    if max_rounds is None:
+        max_rounds = _schedule(graph.n, k)[1]
+    trace = run(graph, BaswanaSenProgram(k), budget_bits=budget_bits, max_rounds=max_rounds, seed=seed)
     ids: set[int] = set()
     for out in trace.outputs.values():
         ids.update(out)

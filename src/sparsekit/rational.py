@@ -8,6 +8,7 @@ path depends on it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -38,8 +39,16 @@ def sampling_probability(n: int, k: int) -> Fraction:
     # (1 + 2**-b) ** (2**b) >= 2, so k >> b >= size gives (2**b + 1) ** k > n * 2**(b k): p = 1
     if n == 1 or k >> bits >= size:
         return Fraction(1)
-    # the largest r with r**k <= n * 2**(b k); 2**b <= r < 2**(b + ceil(size / k))
-    x, lo, hi = n << (k * bits), 1 << bits, 1 << (bits - (-size // k))
+    # the largest r with r**k <= x = n * 2**(b k); p = 1 when r = 2**b, which
+    # one comparison decides; else lo**k <= x < hi**k, with r < 2**(b + ceil(size / k)),
+    # and a float guess narrows the bracket once each end is checked exactly
+    x, lo, hi = n << (k * bits), (1 << bits) + 1, 1 << (bits - (-size // k))
+    if lo**k > x:
+        return Fraction(1)
+    if size < 1000:  # n ** (1 / k) * 2**b is within float range
+        guess = int(math.ldexp(n ** (1 / k), bits))  # r, bar float error
+        lo = guess - 1 if lo < guess - 1 and (guess - 1) ** k <= x else lo
+        hi = guess + 2 if guess + 2 < hi and (guess + 2) ** k > x else hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid**k <= x else (lo, mid)

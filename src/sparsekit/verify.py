@@ -7,15 +7,29 @@ the bound over the edges of a G-shortest s-t path to get
 ``d_H(s, t) <= alpha * d_G(s, t)``.  The reported worst ratio is the
 exact maximum of d_H(u, v) / w(u, v) over edges.
 
-Only the edges of G - H are measured by full Dijkstra runs, from a
-vertex cover of them: a kept edge has d_H(u, v) <= w, so its ratio is
-at most 1 and cannot beat an omitted edge above 1.  Kept edges need a
-look only when the omitted ones top out at 1 or below, and then the
-answer is 1 at the first edge of ratio exactly 1, if there is one.  If
-some kept edge has d_H > 0, a lightest such edge f has ratio 1: each
-positive edge g on its shortest H-path has d_H(g) > 0, or the path
-could be shortened, so w(f) <= w(g) <= d_H(f).  Otherwise every kept
-edge has ratio 0 (or 0/0), and the omitted edges decide alone.
+Only the edges of G - H are measured: a kept edge has d_H(u, v) <= w,
+so its ratio is at most 1 and cannot beat an omitted edge above 1.
+Kept edges need a look only when the omitted ones top out at 1 or
+below, and then the answer is 1 at the first edge of ratio exactly 1,
+if there is one.  If some kept edge has d_H > 0, a lightest such edge f
+has ratio 1: each positive edge g on its shortest H-path has
+d_H(g) > 0, or the path could be shortened, so w(f) <= w(g) <= d_H(f).
+Otherwise every kept edge has ratio 0 (or 0/0), and the omitted edges
+decide alone.
+
+Sparse spanners are nearly forests, so H is first peeled to its 2-core
+K, the kernel, by removing nodes of degree 1 until none is left.  A
+peeled node x hangs in a tree below its attachment node a(x), a core
+node or the root of a component that is a tree, at weighted depth
+dep(x).  A hanging tree is a dead end: a path that enters it leaves
+through the node it hangs from, so shortest paths between core nodes
+stay in the core.  An omitted edge {u, v} then has d_H equal to
+  - the tree path through the lowest common ancestor if a(u) = a(v);
+  - dep(u) + dep(v) + d_K(a(u), a(v)) if a(u) and a(v) are core nodes,
+    with d_K by Dijkstra from a vertex cover of those pairs;
+  - inf otherwise, since u and v lie in different components; Dijkstra
+    on the core finds this too, as a tree root has no core edges.
+If nothing peels (for H = G, say), K is H.
 
 All distances are exact.  The scipy fast path computes Dijkstra in
 float64, which is exact for integer path weights below 2**53; inputs
@@ -37,7 +51,7 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .clustering import Clustering
 from .errors import ParameterError
-from .graph import Edge, EdgeSet, Graph
+from .graph import EdgeSet, Graph
 
 INF = math.inf
 
@@ -48,17 +62,9 @@ def _exact_float_ok(graph: Graph) -> bool:
     return graph.n * max(graph.max_weight(), 1) < 2**53
 
 
-def _adjacency_matrix(graph: Graph, edge_ids: Iterable[int] | None):
-    ids = range(graph.m) if edge_ids is None else edge_ids
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for eid in ids:
-        e = graph.edges[eid]
-        rows += (e.u, e.v)
-        cols += (e.v, e.u)
-        data += (e.w, e.w)
-    return csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
+def _adjacency_matrix(n: int, u, v, w):
+    """The symmetric CSR matrix of the edges with ends `u`, `v` and weights `w`."""
+    return csr_matrix((np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
 
 
 def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> list[int | float]:
@@ -88,8 +94,9 @@ def apsp(graph: Graph, edge_ids: Iterable[int] | None = None) -> list[list[int |
     if graph.n == 0:
         return []
     if _exact_float_ok(graph):
-        mat = _adjacency_matrix(graph, edge_ids)
-        d = _sp_dijkstra(mat, directed=False)
+        ids = range(graph.m) if edge_ids is None else edge_ids
+        ends = np.array([graph.edges[i][1:] for i in ids], np.int64).reshape(-1, 3).T
+        d = _sp_dijkstra(_adjacency_matrix(graph.n, *ends))
         out: list[list[int | float]] = []
         for row in d:
             out.append([INF if math.isinf(x) else int(x) for x in row])
@@ -109,30 +116,73 @@ class StretchReport:
         return f"stretch ok={self.ok} worst_ratio={self.worst_ratio}{tgt} worst_edge={self.worst_edge}"
 
 
-def _cover_distances(graph: Graph, ids: frozenset[int], mat, edges: Sequence[Edge]) -> list[int | float]:
-    """d_H(u, v) for each edge, by Dijkstra from a greedy vertex cover of the
-    edges, 256 sources at a time, so memory stays at 256 * n floats."""
-    deg = Counter(x for e in edges for x in (e.u, e.v))
+def _cover_distances(rows, pairs: Sequence[tuple[int, int]]) -> list[int | float]:
+    """The distance of each node pair, by Dijkstra (`rows`) from a greedy vertex
+    cover of the pairs, 256 sources at a time, so memory stays at 256 * n floats."""
+    deg = Counter(x for pair in pairs for x in pair)
     by_source: dict[int, list[int]] = {}  # its keys are the cover
-    for i, e in enumerate(edges):
-        if e.u in by_source or e.v in by_source:
-            s = e.u if e.u in by_source else e.v
+    for i, (u, v) in enumerate(pairs):
+        if u in by_source or v in by_source:
+            s = u if u in by_source else v
         else:
-            s = e.u if deg[e.u] >= deg[e.v] else e.v
+            s = u if deg[u] >= deg[v] else v
         by_source.setdefault(s, []).append(i)
     sources = sorted(by_source)
-    out: list[int | float] = [0] * len(edges)
+    out: list[int | float] = [0] * len(pairs)
     for lo in range(0, len(sources), 256):
         chunk = sources[lo : lo + 256]
-        if mat is not None:
-            rows = _sp_dijkstra(mat, directed=False, indices=chunk)
-        else:
-            rows = [sssp(graph, s, ids) for s in chunk]
-        for s, row in zip(chunk, rows):
+        for s, row in zip(chunk, rows(chunk)):
             for i in by_source[s]:
-                e = edges[i]
-                out[i] = row[e.v if e.u == s else e.u]
+                u, v = pairs[i]
+                out[i] = row[v if u == s else u]
     return out
+
+
+def _peel(graph: Graph, w: Sequence[int], eid, u, v, peel: bool):
+    """Peel H, the edges `eid` (ends `u`, `v`, weights `w[eid]`), to its 2-core.
+
+    Returns arrays of each node's parent (-1 if unpeeled), hop depth, attachment
+    node and weighted depth below it, and `rows(sources, limit)`, Dijkstra over the
+    core's edges.  Nothing peels unless `peel`.  A node keeps the XOR of its
+    remaining neighbours and of their edge ids: at degree 1 they name its last edge.
+    """
+    n = graph.n
+    deg = np.bincount(np.concatenate([u, v]), minlength=n).tolist()
+    parent, hop, att, dep = [-1] * n, [0] * n, list(range(n)), [0] * n
+    stack = [x for x in range(n) if deg[x] == 1] if peel else []
+    if stack:
+        xn, xe = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        for xor, a, b in ((xn, u, v), (xn, v, u), (xe, u, eid), (xe, v, eid)):
+            np.bitwise_xor.at(xor, a, b)
+        xn, xe = xn.tolist(), xe.tolist()
+    order = []
+    while stack:
+        x = stack.pop()
+        if deg[x] != 1:  # its last neighbour was peeled into it: a tree root
+            continue
+        y, e = xn[x], xe[x]
+        parent[x], dep[x], deg[x] = y, w[e], 0
+        deg[y], xn[y], xe[y] = deg[y] - 1, xn[y] ^ x, xe[y] ^ e
+        if deg[y] == 1:
+            stack.append(y)
+        order.append(x)
+    for x in reversed(order):  # a parent is peeled after its children
+        y = parent[x]
+        att[x], hop[x], dep[x] = att[y], hop[y] + 1, dep[y] + dep[x]
+    core = np.array(deg) > 0
+    inside = core[u] & core[v]
+    if _exact_float_ok(graph):
+        mat = _adjacency_matrix(n, u[inside], v[inside], np.array(w, np.float64)[eid[inside]])
+
+        def rows(sources, limit=INF):
+            return _sp_dijkstra(mat, indices=sources, limit=limit)
+    else:
+        kernel = frozenset(eid[inside].tolist())
+
+        def rows(sources, limit=INF):
+            return [sssp(graph, s, kernel) for s in sources]
+
+    return np.array(parent), np.array(hop), np.array(att), np.array(dep, object), rows
 
 
 def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | float, int | None]:
@@ -140,30 +190,40 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
     ids = frozenset(sub_edges)
     if graph.m == 0:
         return Fraction(1), None
-    mat = _adjacency_matrix(graph, ids) if _exact_float_ok(graph) else None
-    omitted = [e for e in graph.edges if e.id not in ids]
+    n, (_, us, vs, w) = graph.n, zip(*graph.edges)
+    uv = np.array([us, vs]).T
+    eid = np.sort(np.fromiter(ids, np.int64, len(ids)))  # kept, in id order
+    out = np.setdiff1d(np.arange(graph.m), eid, assume_unique=True)  # omitted, in id order
+    parent, hop, att, dep, rows = _peel(graph, w, eid, *uv[eid].T, len(out) > 0)
+    u, v = uv[out].T
+    a, b = att[u], att[v]
+    same = a == b  # one hanging tree: climb to the lowest common ancestor
+    x, y = u[same], v[same]
+    while (step := x != y).any():
+        hx, hy = hop[x], hop[y]
+        x, y = np.where(step & (hx >= hy), parent[x], x), np.where(step & (hy >= hx), parent[y], y)
+    dh = np.empty(len(out), object)
+    dh[same] = dep[u[same]] + dep[v[same]] - 2 * dep[x]
+    far = ~same  # a tree root has no core edges, so d_K to it is inf
+    keys, inv = np.unique(np.minimum(a, b)[far] * n + np.maximum(a, b)[far], return_inverse=True)
+    pairs = [divmod(k, n) for k in keys.tolist()]
+    d_core = np.array([INF if d == INF else int(d) for d in _cover_distances(rows, pairs)], object)
+    dh[far] = dep[u[far]] + dep[v[far]] + d_core[inv]
     num, den, worst_edge = 0, 1, None
-    for e, dh in zip(omitted, _cover_distances(graph, ids, mat, omitted)):
-        if math.isinf(dh) or (e.w == 0 and dh > 0):
-            return INF, e.id  # disconnected, or a zero-weight edge stretched
-        dh = int(dh)
-        if e.w and dh * den > num * e.w:  # 0/0 (zero-weight edge kept by zeros) is fine
-            num, den, worst_edge = dh, e.w, e.id
+    for i, d in zip(out.tolist(), dh.tolist()):
+        if d == INF or (w[i] == 0 and d > 0):
+            return INF, i  # disconnected, or a zero-weight edge stretched
+        if w[i] and d * den > num * w[i]:  # 0/0 (zero-weight edge kept by zeros) is fine
+            num, den, worst_edge = d, w[i], i
     if num > den:
         return Fraction(num, den), worst_edge
-    # The answer is 1 at the first edge of ratio exactly 1, if there is one;
-    # d_H <= w makes the capped Dijkstra of a kept edge exact.
+    # The answer is 1 at the first edge of ratio exactly 1, if there is one: a tree
+    # edge is its ends' only path, and d_H <= w makes a capped core Dijkstra exact.
     stop = worst_edge if num == den else graph.m
-    for eid in sorted(i for i in ids if i < stop):
-        e = graph.edges[eid]
-        if e.w == 0:
-            continue
-        if mat is not None:
-            dh = _sp_dijkstra(mat, directed=False, indices=e.u, limit=e.w)[e.v]
-        else:
-            dh = sssp(graph, e.u, ids)[e.v]
-        if dh == e.w:
-            return Fraction(1), eid
+    for i in eid[eid < stop].tolist():
+        e = graph.edges[i]
+        if e.w and (e.v == parent[e.u] or e.u == parent[e.v] or rows([e.u], e.w)[0][e.v] == e.w):
+            return Fraction(1), i
     return Fraction(num, den), worst_edge
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -206,6 +207,20 @@ def test_sampling_probability_pinned():
     assert hashlib.sha256(got.encode()).hexdigest() == (
         "204dfe7c0ca5bcb273e5de52f67ad20a1bccd5b2f1e5e412aaf38ae05b1ce055"
     )
+
+
+def test_sampling_probability_in_the_wide_band_is_fast():
+    # Where k is large but below bitlen(n) * 2**16, p = 1 is decided by one
+    # comparison, and p < 1 is bisected from a float guess checked exactly.
+    cases = [((4, 100000), Fraction(1)), ((1000, 65535), Fraction(32768, 32771))]
+    for (n, k), expected in cases:
+        t0 = time.perf_counter()
+        assert sampling_probability(n, k) == expected
+        assert time.perf_counter() - t0 < 1, (n, k)
+    g = cycle_graph(4)
+    t0 = time.perf_counter()
+    assert spanner(g, 150000).ids == spanner(g, 1).ids
+    assert time.perf_counter() - t0 < 1
 
 
 def test_final_pass_raises_when_an_edge_survives():

@@ -113,6 +113,20 @@ def test_spanner_cmd_at_huge_k(tmp_path, capsys):
     assert capsys.readouterr().err == "error: derandomization needs 0 < p < 1\n"
 
 
+def test_spanner_simulate_at_large_k(tmp_path, capsys):
+    # The simulation's round cap is the program's own bound: k - 1 rounds,
+    # or none where p = 1 and no sampled iteration runs.
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    gpath = tmp_path / "c4.txt"
+    g.write(gpath)
+    for k, rounds in (("50", 49), ("100000000", 0)):
+        t0 = time.perf_counter()
+        assert main(["spanner", "-i", str(gpath), "--algo", "bs", "--k", k, "--simulate", "--json", "-"]) == 0
+        assert time.perf_counter() - t0 < 1, k
+        report = json.loads(capsys.readouterr().out)
+        assert report["distributed_matches"] and report["rounds"] == rounds
+
+
 def test_certificate_large_variant_at_k2(tmp_path, capsys):
     # One part builds a k-certificate, which meets the n*k*(1+eps) cap.
     gpath = tmp_path / "g.txt"

@@ -5,11 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit import generate
+from sparsekit import generate, verify
 from sparsekit.baswana_sen import spanner
 from sparsekit.clustering import Clustering
 from sparsekit.derand import deterministic_spanner
@@ -266,6 +267,112 @@ def test_measure_stretch_exact_beyond_float_range():
     big = scaled(g, 2**50)
     assert not _exact_float_ok(big)  # takes the pure-Python sssp path
     assert measure_stretch(big, ids) == measure_stretch(g, ids) == (Fraction(11, 7), 4)
+
+
+# -- the peeled oracle: hanging trees and the 2-core --------------------------
+
+
+def check_against_reference(g: Graph, ids) -> tuple:
+    """measure_stretch equals the all-pairs oracle, also on the integer path."""
+    expected = reference_stretch(g, ids)
+    assert measure_stretch(g, ids) == expected
+    assert measure_stretch(scaled(g, 2**50), ids) == expected
+    return expected
+
+
+def test_peel_spanning_tree_has_an_empty_core():
+    g = Graph(5, [(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 4, 4), (0, 4, 5), (1, 3, 2), (0, 2, 1)])
+    assert check_against_reference(g, frozenset([0, 1, 2, 3])) == (Fraction(5, 1), 6)
+
+
+def test_peel_single_cycle_is_all_core():
+    g = Graph(6, [(i, (i + 1) % 6, i + 1) for i in range(6)] + [(0, 3, 2), (1, 4, 7), (2, 5, 3)])
+    assert check_against_reference(g, frozenset(range(6))) == (Fraction(3, 1), 6)
+
+
+def test_peel_omitted_edge_inside_one_hanging_tree():
+    # core triangle 0-1-2; tree 0-3-4 with leaves 5 and 6 under 4, so the
+    # omitted edge {5, 6} has its lowest common ancestor 4 below node 0.
+    g = Graph(7, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 2), (3, 4, 1), (4, 5, 3), (4, 6, 2), (5, 6, 1)])
+    assert check_against_reference(g, frozenset(range(7))) == (Fraction(5, 1), 7)
+
+
+def test_peel_omitted_edge_between_hanging_trees_of_one_core():
+    # core square 0-1-2-3; tree 0-4-5 and tree 2-6: d_H(5, 6) = 3 + 1 + 2.
+    g = Graph(7, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 4, 1), (4, 5, 2), (2, 6, 1), (5, 6, 2)])
+    assert check_against_reference(g, frozenset(range(7))) == (Fraction(3, 1), 7)
+
+
+def test_peel_zero_weight_hanging_tree():
+    # core triangle 0-1-2; tree 0-3-4 of zero-weight edges, leaf 5 under 3.
+    edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 0), (3, 4, 0), (3, 5, 2)]
+    g = Graph(6, edges + [(4, 0, 0), (4, 1, 1), (5, 4, 1)])
+    assert check_against_reference(g, frozenset(range(6))) == (Fraction(2, 1), 8)
+    # a zero-weight omitted edge across a positive tree edge is stretched
+    g = Graph(6, edges + [(4, 0, 0), (5, 0, 0)])
+    assert check_against_reference(g, frozenset(range(6))) == (math.inf, 7)
+
+
+def test_peel_tree_component_beside_a_cyclic_one():
+    # component {0, 1, 2} keeps its cycle, component {3, 4, 5} is a path;
+    # G joins them twice, after a finite edge, and the first joining edge in
+    # id order is the witness.
+    g = Graph(6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (3, 5, 9), (5, 1, 1), (2, 3, 1)])
+    assert check_against_reference(g, frozenset(range(5))) == (math.inf, 6)
+
+
+def test_peel_no_omitted_edge():
+    g = Graph(6, [(0, 1, 0), (1, 2, 3), (2, 0, 1), (2, 3, 2), (3, 4, 0), (4, 5, 1)])
+    assert check_against_reference(g, frozenset(range(g.m))) == (Fraction(1), 2)
+    zeros = Graph(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+    assert check_against_reference(zeros, frozenset(range(3))) == (Fraction(0), None)
+
+
+@st.composite
+def near_forest_and_graph(draw):
+    """H is a random spanning forest plus at most 3 edges; G adds omitted edges."""
+    n = draw(st.integers(1, 30))
+    kept = []
+    for x in range(1, n):
+        p = draw(st.integers(-1, x - 1))  # -1: x roots a new tree
+        if p >= 0:
+            kept.append((p, x))
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in kept]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=3)) if rest else []
+    rest = [pair for pair in rest if pair not in extra]
+    omitted = draw(st.lists(st.sampled_from(rest), unique=True, max_size=12)) if rest else []
+    kept += extra
+    order = draw(st.permutations(kept + omitted))
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(order), max_size=len(order)))
+    g = Graph(n, [(u, v, w) for (u, v), w in zip(order, weights)])
+    return g, frozenset(i for i, pair in enumerate(order) if pair in kept)
+
+
+@settings(deadline=None, max_examples=200)
+@given(near_forest_and_graph())
+def test_measure_stretch_on_near_forests_matches_reference(case):
+    check_against_reference(*case)
+
+
+def test_kernel_dijkstra_runs_from_fewer_sources(monkeypatch):
+    # Dijkstra on the 2-core starts from fewer nodes than a cover of the
+    # omitted edges, the sources that Dijkstra over all of H would need.
+    g = generate.gnp(512, 16 / 512, seed=1, weighted=True)
+    ids = ultra_sparse_spanner(g, 8).ids
+    expected = reference_stretch(g, ids)
+    omitted = [(e.u, e.v) for e in g.edges if e.id not in ids]
+    cover: list[int] = []
+    verify._cover_distances(lambda chunk: (cover.extend(chunk), [[0] * g.n for _ in chunk])[1], omitted)
+    sources: list[int] = []
+    dijkstra = verify._sp_dijkstra
+
+    def counting(mat, **kw):
+        sources.extend(np.atleast_1d(kw["indices"]).tolist())
+        return dijkstra(mat, **kw)
+
+    monkeypatch.setattr(verify, "_sp_dijkstra", counting)
+    assert measure_stretch(g, ids) == expected
+    assert 0 < len(sources) < len(cover)
 
 
 # -- pinned oracle outputs ----------------------------------------------------
