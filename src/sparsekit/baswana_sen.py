@@ -404,6 +404,13 @@ class BaswanaSenProgram:
             raise ParameterError("k must be >= 1")
         self.k = k
         self._coins: dict[tuple, bool] = {}
+        self._schedules: dict[int, tuple[Fraction, int]] = {}
+
+    def schedule(self, n: int) -> tuple[Fraction, int]:
+        """`_schedule(n, k)`, derived once per node count rather than once per node."""
+        if n not in self._schedules:
+            self._schedules[n] = _schedule(n, self.k)
+        return self._schedules[n]
 
     def _coin(self, seed: int, root: int, i: int, p: Fraction) -> bool:
         # p enters the key as two ints: hashing a Fraction costs more than the lookup saves.
@@ -453,7 +460,7 @@ class BaswanaSenProgram:
     # -- NodeProgram interface -------------------------------------------
 
     def init(self, view: LocalView, seed: int):
-        p, g = _schedule(view.n, self.k)
+        p, g = self.schedule(view.n)
         st = _BSNodeState(
             seed=seed,
             p=p,
@@ -496,9 +503,10 @@ def run_distributed_spanner(
     """
     from .congest import run
 
+    program = BaswanaSenProgram(k)
     if max_rounds is None:
-        max_rounds = _schedule(graph.n, k)[1]
-    trace = run(graph, BaswanaSenProgram(k), budget_bits=budget_bits, max_rounds=max_rounds, seed=seed)
+        max_rounds = program.schedule(graph.n)[1]
+    trace = run(graph, program, budget_bits=budget_bits, max_rounds=max_rounds, seed=seed)
     ids: set[int] = set()
     for out in trace.outputs.values():
         ids.update(out)

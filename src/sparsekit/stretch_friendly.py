@@ -23,12 +23,17 @@ piece along its root path below the other endpoint of its edge.
 Merging along minimum boundary edges preserves stretch-friendliness,
 which the tests re-check by stepping `merge_step` and running
 `verify_stretch_friendly` on the clustering after every round.
+
+A round reads only the forest and its level, and ceil(log2 2t) =
+ceil(log2 t) + 1, so :func:`partitions` yields the partitions for t, 2t,
+4t, ... from one forest with one new round per doubling, redoing only
+the closing size check and report; `partition` is its first item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .clustering import Clustering, Forest
 from .congest import Halt
@@ -278,6 +283,33 @@ class PartitionReport:
     undersized_components: tuple[tuple[int, ...], ...]
 
 
+def partitions(graph: Graph, t: int) -> Iterator[Clustering]:
+    """partition(graph, t), partition(graph, 2t), ... resumed on one forest (see module doc)."""
+    if t < 1:
+        raise ParameterError("t must be >= 1")
+    forest, done, components = Forest.singletons(graph.n), 0, graph.components()
+    while True:
+        rounds = max(t - 1, 0).bit_length()  # ceil(log2 t)
+        for level in range(done + 1, rounds + 1):
+            forest = merge_step(graph, forest, level)
+        done = rounds
+        clustering = forest.clustering(graph)
+        sizes = tuple(len(c.members) for c in clustering.clusters)
+        undersized = []
+        for comp in components:
+            cids = {clustering.membership[v] for v in comp}
+            if len(comp) < t and len(cids) == 1:
+                undersized.append(tuple(comp))
+            for ci in cids if len(comp) >= t else ():
+                if sizes[ci] < t:
+                    raise InvariantViolation(
+                        f"component with {len(comp)} nodes kept a cluster of size {sizes[ci]} < t={t}"
+                    )
+        report = PartitionReport(rounds, sizes, clustering.max_radius(), tuple(undersized))
+        yield replace(clustering, report=report)
+        t *= 2
+
+
 def partition(graph: Graph, t: int) -> Clustering:
     """Stretch-friendly partition with cluster size >= t (see module doc).
 
@@ -286,23 +318,4 @@ def partition(graph: Graph, t: int) -> Clustering:
     Components smaller than t collapse into single clusters and are
     flagged in the `PartitionReport` that rides on the result's `report`.
     """
-    if t < 1:
-        raise ParameterError("t must be >= 1")
-    forest = Forest.singletons(graph.n)
-    rounds = max(t - 1, 0).bit_length()  # ceil(log2 t)
-    for level in range(1, rounds + 1):
-        forest = merge_step(graph, forest, level)
-    clustering = forest.clustering(graph)
-    sizes = tuple(len(c.members) for c in clustering.clusters)
-    undersized = []
-    for comp in graph.components():
-        cids = {clustering.membership[v] for v in comp}
-        if len(comp) < t and len(cids) == 1:
-            undersized.append(tuple(comp))
-        for ci in cids if len(comp) >= t else ():
-            if sizes[ci] < t:
-                raise InvariantViolation(
-                    f"component with {len(comp)} nodes kept a cluster of size {sizes[ci]} < t={t}"
-                )
-    report = PartitionReport(rounds, sizes, clustering.max_radius(), tuple(undersized))
-    return replace(clustering, report=report)
+    return next(partitions(graph, t))

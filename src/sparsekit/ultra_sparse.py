@@ -7,6 +7,8 @@ the cluster trees plus the witnesses of the inner spanner form the
 output.  The partition parameter is calibrated operationally: starting
 at t' = t, double until the composed size lands under n + ceil(n/t)
 (at most O(log n) retries; a single-cluster partition always fits).
+The retries resume one `stretch_friendly.partitions` run, so all of
+them together take ceil(log2 t_used) merge rounds.
 
 `linear_size_spanner` is the O(n)-edge construction: a tower-of-logs
 phase schedule where phase i runs g_i sampled clustering iterations at
@@ -44,7 +46,8 @@ from .clustering import compose_spanner, contract
 from .errors import InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
 from .rational import ceil_log2, log_factor
-from .stretch_friendly import partition
+# `partition` is not called here; perfbench's tracer still looks it up by this name.
+from .stretch_friendly import partition, partitions  # noqa: F401
 from .verify import measure_stretch
 
 DEFAULT_ALPHA0 = 1 << 16
@@ -260,6 +263,7 @@ def ultra_sparse_spanner(
     (2r+1)(alpha+1)-1 for partition radius r and inner stretch alpha;
     with `verify=True` both stretches are measured exactly and the
     result's `report`, an `UltraSparseReport`, carries the certified bound.
+    Each doubling of t' resumes the partition with one more merge round.
     """
     if t < 1:
         raise ParameterError("t must be >= 1")
@@ -267,9 +271,7 @@ def ultra_sparse_spanner(
         inner = lambda g: linear_size_spanner(g, mode="derandomized")  # noqa: E731
     n = graph.n
     bound = n + math.ceil(n / t)
-    tp = t
-    for attempt in range(ceil_log2(max(n, 2)) + 3):
-        clustering = partition(graph, tp)
+    for attempt, clustering in zip(range(ceil_log2(max(n, 2)) + 3), partitions(graph, t)):
         cg = contract(graph, clustering)
         inner_edges = inner(cg.graph)
         composed = compose_spanner(cg, inner_edges)
@@ -287,7 +289,7 @@ def ultra_sparse_spanner(
                         )
             report = UltraSparseReport(
                 t=t,
-                t_used=tp,
+                t_used=t << attempt,
                 bound=bound,
                 size=len(composed),
                 cluster_count=len(clustering.clusters),
@@ -299,5 +301,4 @@ def ultra_sparse_spanner(
                 stretch_bound=stretch_bound,
             )
             return replace(composed, report=report)
-        tp *= 2
     raise InvariantViolation("partition parameter doubling did not converge")

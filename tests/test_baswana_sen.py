@@ -426,6 +426,24 @@ def test_distributed_matches_centralized_small():
             assert trace.rounds_used <= max(k - 1, 0) + 1
 
 
+def test_distributed_spanner_derives_its_schedule_once(monkeypatch):
+    # every node's init and the round cap share one sampling-probability call
+    from sparsekit import baswana_sen
+
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return sampling_probability(n, k)
+
+    monkeypatch.setattr(baswana_sen, "sampling_probability", counted)
+    for g in (gnp_graph(48, 0.2, seed=3, weighted=True, max_weight=9), cycle_graph(4)):
+        calls.clear()
+        es, _ = run_distributed_spanner(g, 3, seed=1)
+        assert calls == [(g.n, 3)]
+        assert es.ids == spanner(g, 3, seed=1).ids
+
+
 def test_spanner_stretch_guarantee_random():
     for seed in range(8):
         weighted = seed % 2 == 0

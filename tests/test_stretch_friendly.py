@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -14,6 +15,7 @@ from sparsekit.stretch_friendly import (
     merge_step,
     orient,
     partition,
+    partitions,
 )
 from sparsekit.verify import verify_stretch_friendly
 
@@ -255,3 +257,30 @@ def test_partition_outputs_pinned():
             trees = [(c.root, sorted(c.parent.items()), c.radius) for c in cl.clusters]
             h.update(repr((trees, cl.report)).encode())
     assert h.hexdigest() == "e273b01c37bf2c5f9ae1a074632233b97715976f06af9c3fd08e453dea633b44"
+
+
+def pinned_graphs() -> list[Graph]:
+    """The graph list of test_partition_outputs_pinned, which keeps its own copy as recorded."""
+    graphs = [
+        path_graph(17),
+        cycle_graph(24, weights=[1 + (i * 7) % 5 for i in range(24)]),
+        grid_graph(6, 9),
+        Graph(9, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (7, 8, 1)]),
+    ]
+    for seed in range(4):
+        graphs.append(connected_gnp(60, 0.08, seed=10 + seed, weighted=True, max_weight=30))
+        graphs.append(connected_gnp(50, 0.1, seed=20 + seed))
+        graphs.append(gnp_graph(80, 0.02, seed=30 + seed, weighted=seed % 2 == 0, max_weight=9))
+    return graphs
+
+
+def test_partitions_resume_equals_partition_from_singletons():
+    # `summary` keeps each yielded clustering's own parent maps, so a later
+    # round that wrote into them would show up in the comparison too.
+    def summary(cl):
+        return [(c.root, c.parent, c.radius) for c in cl.clusters], cl.report
+
+    for g in pinned_graphs():
+        for t in (1, 2, 3, 5):
+            resumed = [summary(cl) for cl in islice(partitions(g, t), 4)]
+            assert resumed == [summary(partition(g, t << i)) for i in range(4)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -180,3 +181,40 @@ def test_linear_size_bench_scale_constants():
     assert 2 * g_uw.phases[0].g - 1 <= repw.phases[0].g <= 2 * g_uw.phases[0].g
     for ph in repw.phases:
         assert ph.budget is None or ph.added <= ph.budget
+
+
+def test_ultra_sparse_reports_pinned():
+    # sha256 over each UltraSparseReport's calibration fields and the
+    # sorted output ids, on weighted and unweighted G(n, p) with 0 to 2
+    # doubling retries, recorded before the partition rounds resumed
+    # across retries.
+    h = hashlib.sha256()
+    for n, p, seed, weighted in [
+        (64, 0.15, 1, True), (80, 0.1, 2, False), (96, 0.08, 3, True),
+        (120, 0.06, 4, False), (100, 0.12, 5, True), (72, 0.2, 6, False),
+    ]:
+        g = gnp_graph(n, p, seed, weighted=weighted, max_weight=20)
+        for t in (2, 4, 8):
+            out = ultra_sparse_spanner(g, t)
+            r = out.report
+            fields = (r.t_used, r.retries, r.partition_radius, r.cluster_count, r.size, r.inner_size)
+            h.update(repr((fields, sorted(out.ids))).encode())
+    assert h.hexdigest() == "37625b02ab587e786cd58b8ddaede2d3541ef83abe51897d56ce9cf708253af1"
+
+
+def test_ultra_sparse_resumes_partition_rounds(monkeypatch):
+    # the doubling retries add one merge round each, and the graph's
+    # components are computed once per call
+    from sparsekit import stretch_friendly
+    from sparsekit.graph import Graph
+    from sparsekit.rational import ceil_log2
+
+    rounds, comps = [], []
+    merge_step, components = stretch_friendly.merge_step, Graph.components
+    monkeypatch.setattr(stretch_friendly, "merge_step", lambda *a: rounds.append(a[2]) or merge_step(*a))
+    monkeypatch.setattr(Graph, "components", lambda self: comps.append(self) or components(self))
+    g = gnp_graph(512, 16 / 512, seed=1, weighted=True)
+    rep = ultra_sparse_spanner(g, 8).report
+    assert rep.retries >= 1
+    assert rounds == list(range(1, ceil_log2(rep.t_used) + 1))
+    assert comps == [g]
