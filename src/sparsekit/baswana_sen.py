@@ -89,23 +89,28 @@ def initial_state(graph: Graph) -> BSState:
 def cluster_entries(
     edges: Iterable[tuple[int, int, int]],
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, ...]]]:
-    """A node's adjacent clusters, from its alive edges given as (root, weight, eid).
+    """A node's adjacent clusters, from its alive edges given as (weight, root, eid).
 
     `root` names the neighbor's cluster: its root, or any key that orders
     clusters as their roots do, such as the index into a forest.  Returns
     one entry (weight, root, eid) per cluster, holding the minimum
     (weight, eid) edge into it, sorted by (weight, root); and each
     entry's edge ids.
+
+    One sort groups the edges: in (weight, root, eid) order a root first
+    appears at its minimum (weight, eid), and roots are distinct, so first
+    appearances come in (weight, root) order.  An entry's ids come out in
+    (weight, eid) order; `run_iteration` and the program read them only
+    as a set.
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for root, w, eid in edges:
-        groups.setdefault(root, []).append((w, eid))
-    entries = []
-    for root, pairs in groups.items():
-        w, eid = min(pairs)
-        entries.append((w, root, eid))
-    entries.sort()  # roots are distinct, so this is (weight, root) order
-    return entries, [tuple(eid for _, eid in groups[root]) for _, root, _ in entries]
+    entries, ids = [], {}
+    for w, root, eid in sorted(edges):
+        if root in ids:
+            ids[root].append(eid)
+        else:
+            ids[root] = [eid]
+            entries.append((w, root, eid))
+    return entries, [tuple(ids[root]) for _, root, _ in entries]
 
 
 def decide(weights: Sequence[int], first: int | None) -> list[int]:
@@ -123,7 +128,7 @@ def decide(weights: Sequence[int], first: int | None) -> list[int]:
 
 @dataclass(frozen=True)
 class NodeAdjacency:
-    """One node's adjacent clusters, in `cluster_entries` order.
+    """One node's adjacent clusters, in `cluster_entries` order: by (weight, cluster index).
 
     A cluster is adjacent when it contains a neighbor — the node's own
     cluster included, which matters: a node joining a sampled cluster
@@ -139,7 +144,7 @@ class NodeAdjacency:
     weights: tuple[int, ...]
     clusters: tuple[int, ...]  # index into the forest's clusters, per entry
     eids: tuple[int, ...]  # minimum edge into the cluster, per entry
-    edges_by_entry: tuple[tuple[int, ...], ...]
+    edges_by_entry: tuple[tuple[int, ...], ...]  # alive edges into the cluster, in (weight, id) order
 
     @property
     def d(self) -> int:
@@ -155,27 +160,22 @@ def build_adjacency(state: BSState) -> dict[int, NodeAdjacency]:
     """Per-node adjacent-cluster view shared by all execution paths."""
     graph = state.graph
     label = state.clustering.labels()  # cluster indices order clusters by root
+    alive: list[list[tuple[int, int, int]]] = [[] for _ in label]  # (weight, other end's label, eid)
+    for eid in state.alive_edges:
+        _, u, v, w = graph.edges[eid]
+        alive[u].append((w, label[v], eid))
+        alive[v].append((w, label[u], eid))
     views: dict[int, NodeAdjacency] = {}
     for v, own in enumerate(label):
         if own == -1:
             continue
-        alive = []
-        for eid in graph.adj[v]:
-            if eid not in state.alive_edges:
-                continue
-            e = graph.edges[eid]
-            cu = label[e.other(v)]
-            if cu == -1:
-                raise InvariantViolation(f"alive edge {eid} touches unclustered node {e.other(v)}")
-            alive.append((cu, e.w, eid))
-        entries, edges_by_entry = cluster_entries(alive)
-        views[v] = NodeAdjacency(
-            own=own,
-            weights=tuple(w for w, _, _ in entries),
-            clusters=tuple(cu for _, cu, _ in entries),
-            eids=tuple(eid for _, _, eid in entries),
-            edges_by_entry=tuple(edges_by_entry),
-        )
+        entries, edges_by_entry = cluster_entries(alive[v])
+        weights, clusters, eids = zip(*entries) if entries else ((), (), ())
+        if -1 in clusters:  # the first such edge in (node, edge id) order is named
+            eid = min(edges_by_entry[clusters.index(-1)])
+            _, a, b, _ = graph.edges[eid]
+            raise InvariantViolation(f"alive edge {eid} touches unclustered node {a + b - v}")
+        views[v] = NodeAdjacency(own, weights, clusters, eids, tuple(edges_by_entry))
     return views
 
 
@@ -427,9 +427,7 @@ class BaswanaSenProgram:
         sampling = i < st.last
         if sampling and self._coin(st.seed, st.root, i, st.p):
             return False, set()
-        entries, edges_by_entry = cluster_entries(
-            (root, st.weights[eid], eid) for eid, root in st.edge_root.items()
-        )
+        entries, edges_by_entry = cluster_entries((st.weights[eid], root, eid) for eid, root in st.edge_root.items())
         first = None  # never the own cluster's entry: its coin came up false
         if sampling:
             first = next(
@@ -447,12 +445,10 @@ class BaswanaSenProgram:
 
     def _advance(self, st: _BSNodeState):
         """Decide, send the outcome over every edge alive before it, halt when done."""
-        targets = sorted(st.edge_root)
+        targets = list(st.edge_root)
         dead, kills = self._decide(st)
-        msgs = {
-            st.neighbor_of[eid]: pack_bits(dead | (eid in kills) << 1 | st.root << 2, 2 + st.root_bits)
-            for eid in targets
-        }
+        kept, killed = (pack_bits(dead | kill << 1 | st.root << 2, 2 + st.root_bits) for kill in (0, 1))
+        msgs = {st.neighbor_of[eid]: killed if eid in kills else kept for eid in targets}
         if dead or st.iteration > st.last:
             return None, msgs, Halt(sorted(st.added))
         return st, msgs, None

@@ -12,7 +12,12 @@ already send and may halt.  `rounds_used` counts executed message
 rounds, so a program that halts in `init` uses 0 rounds.  Nodes are
 stepped in id order but cannot observe that order — all round-t
 messages are delivered together at round t+1 — so any parallel
-execution of a round is equivalent.
+execution of a round is equivalent.  Each inbox is a dict in ascending
+sender order, the order in which senders post.  An outbox is checked in
+bulk: its destinations are neighbors, its messages `bytes`, the longest
+within budget.  Only if a check fails, or a message is a `bytearray` (to
+be copied to `bytes`), is it walked in destination order, so an error
+names the smallest offending destination.
 
 Randomness: one global seed; each node derives an independent-looking
 stream as sha256(seed, node, round) via `derive_randomness` /
@@ -146,22 +151,29 @@ def run(
         raise ParameterError("budget_bits must be >= 1")
     limit = max_rounds if max_rounds is not None else max(16, 10 * graph.n)
 
-    views = [
-        LocalView(v, graph.n, tuple((eid, graph.edges[eid].other(v), graph.edges[eid].w) for eid in graph.adj[v]))
-        for v in range(graph.n)
-    ]
-    neighbor_sets = [frozenset(nb for _, nb, _ in views[v].incident) for v in range(graph.n)]
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
+    for eid, u, v, w in graph.edges:  # ascending ids, the order of graph.adj
+        incident[u].append((eid, v, w))
+        incident[v].append((eid, u, w))
+    views = [LocalView(v, graph.n, tuple(inc)) for v, inc in enumerate(incident)]
+    neighbor_sets = [{nb for _, nb, _ in inc} for inc in incident]
 
     states: dict[int, Any] = {}
     outputs: dict[int, Any] = {}
     running: set[int] = set()
     max_bits = 0
     per_round: list[int] = []
-    pending: dict[int, dict[int, bytes]] = {v: {} for v in range(graph.n)}
 
-    def post(sender: int, outbox: dict[int, bytes], round_no: int, nxt: dict[int, dict[int, bytes]]):
+    def post(sender: int, outbox: dict[int, bytes], round_no: int, nxt: list[dict[int, bytes]]):
         nonlocal max_bits
-        for dst in sorted(outbox):
+        msgs = outbox.values()
+        if (outbox.keys() <= neighbor_sets[sender] and all(type(msg) is bytes for msg in msgs)
+                and (bits := 8 * max(map(len, msgs), default=0)) <= budget):
+            max_bits = max(max_bits, bits)
+            for dst, msg in outbox.items():
+                nxt[dst][sender] = msg
+            return
+        for dst in sorted(outbox):  # a check failed, or a message is not `bytes`
             msg = outbox[dst]
             if dst not in neighbor_sets[sender]:
                 raise ParameterError(f"node {sender} sent to non-neighbor {dst}")
@@ -174,7 +186,7 @@ def run(
             nxt[dst][sender] = bytes(msg)
 
     # Round 0: init (no inbox).
-    nxt: dict[int, dict[int, bytes]] = {v: {} for v in range(graph.n)}
+    nxt: list[dict[int, bytes]] = [{} for _ in range(graph.n)]
     count0 = 0
     for v in range(graph.n):
         state, outbox, halt = program.init(views[v], seed)
@@ -193,12 +205,11 @@ def run(
         if rounds >= limit:
             raise SimulationTimeout(limit, len(running))
         rounds += 1
-        nxt = {v: {} for v in range(graph.n)}
+        nxt = [{} for _ in range(graph.n)]
         count_sent = 0
         for v in sorted(running):
-            # Inboxes are assembled in ascending sender order.
-            inbox = {s: pending[v][s] for s in sorted(pending[v])}
-            state, outbox, halt = program.step(states[v], views[v], rounds, inbox)
+            # Senders post in ascending id order, so each inbox is in sender order.
+            state, outbox, halt = program.step(states[v], views[v], rounds, pending[v])
             count_sent += len(outbox)
             post(v, outbox, rounds, nxt)
             if halt is not None:

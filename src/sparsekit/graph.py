@@ -244,9 +244,10 @@ class EdgeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", frozenset(self.ids))
+        m = self.graph.m
         for eid in self.ids:
-            if not (0 <= eid < self.graph.m):
-                raise InvalidGraphError(f"edge id {eid} not in graph (m={self.graph.m})")
+            if not (0 <= eid < m):
+                raise InvalidGraphError(f"edge id {eid} not in graph (m={m})")
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 try:
     import gmpy2  # type: ignore[import-untyped]  # noqa: F401
 
@@ -23,6 +21,26 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 SAMPLING_BITS = 16  # binary digits of the sampling probability's denominator
 LN_BITS = 24  # binary digits of rat_ln_upper's accuracy
+
+
+def _pow_le(a: int, k: int, n: int, shift: int) -> bool:
+    """a**k <= n << shift, for a, k, n >= 1.  Decided on a bracket of a**k
+    from fixed-point powering, rounded down and up to 64 + 2 bitlen(k)
+    bits; the exact power is built only when the bracket straddles."""
+    prec, lo, hi, e = 64 + 2 * k.bit_length(), 1, 1, 0  # lo * 2**e <= a**j <= hi * 2**e
+    for bit in bin(k)[2:]:  # j: the leading bits of k read so far
+        f = a if bit == "1" else 1
+        lo, hi, e = lo * lo * f, hi * hi * f, 2 * e
+        if (cut := hi.bit_length() - prec) > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+
+    def le(m: int) -> bool:  # m * 2**e <= n << shift, decided by bit lengths unless they tie
+        d = e - shift
+        if gap := m.bit_length() + d - n.bit_length():
+            return gap < 0
+        return m << d <= n if d >= 0 else m <= n << -d
+
+    return le(hi) or (le(lo) and a**k <= n << shift)
 
 
 def sampling_probability(n: int, k: int) -> Fraction:
@@ -39,19 +57,19 @@ def sampling_probability(n: int, k: int) -> Fraction:
     # (1 + 2**-b) ** (2**b) >= 2, so k >> b >= size gives (2**b + 1) ** k > n * 2**(b k): p = 1
     if n == 1 or k >> bits >= size:
         return Fraction(1)
-    # the largest r with r**k <= x = n * 2**(b k); p = 1 when r = 2**b, which
-    # one comparison decides; else lo**k <= x < hi**k, with r < 2**(b + ceil(size / k)),
-    # and a float guess narrows the bracket once each end is checked exactly
-    x, lo, hi = n << (k * bits), (1 << bits) + 1, 1 << (bits - (-size // k))
-    if lo**k > x:
+    # the largest r with r**k <= n << s, s = b k; p = 1 when r = 2**b, which
+    # one comparison decides; else lo**k <= n << s < hi**k, with r < 2**(b + ceil(size / k)),
+    # and a float guess narrows the bracket once each end is checked by `_pow_le`
+    s, lo, hi = k * bits, (1 << bits) + 1, 1 << (bits - (-size // k))
+    if not _pow_le(lo, k, n, s):
         return Fraction(1)
     if size < 1000:  # n ** (1 / k) * 2**b is within float range
         guess = int(math.ldexp(n ** (1 / k), bits))  # r, bar float error
-        lo = guess - 1 if lo < guess - 1 and (guess - 1) ** k <= x else lo
-        hi = guess + 2 if guess + 2 < hi and (guess + 2) ** k > x else hi
+        lo = guess - 1 if lo < guess - 1 and _pow_le(guess - 1, k, n, s) else lo
+        hi = guess + 2 if guess + 2 < hi and not _pow_le(guess + 2, k, n, s) else hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid**k <= x else (lo, mid)
+        lo, hi = (mid, hi) if _pow_le(mid, k, n, s) else (lo, mid)
     return Fraction(1 << bits, lo)
 
 
@@ -61,6 +79,8 @@ def rat_ln_upper(x) -> Fraction:
     mpmath keeps this reproducible across platforms (no dependence
     on the system libm).
     """
+    import mpmath  # imported here: `import sparsekit` need not load it
+
     if x <= 0:
         raise ValueError("ln of nonpositive value")
     with mpmath.workdps(40):

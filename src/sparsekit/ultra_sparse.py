@@ -39,8 +39,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
-
 from .baswana_sen import final_pass, initial_state, run_g_iterations
 from .clustering import compose_spanner, contract
 from .errors import InvariantViolation, ParameterError
@@ -84,6 +82,7 @@ def _exact_pow2_chain(alpha: int) -> tuple[bool, bool] | None:
 
 def _x_seq_chain(alpha) -> tuple:
     """(alpha, x, y, z) of the chain as 60-digit mpmath numbers."""
+    import mpmath  # imported here: `import sparsekit` need not load it
     with mpmath.workdps(60):
         a = mpmath.mpf(alpha)
         la = mpmath.log(a, 2)
@@ -100,6 +99,7 @@ def x_seq_holds(alpha) -> tuple[bool, bool]:
         exact = _exact_pow2_chain(alpha)
         if exact is not None:
             return exact
+    import mpmath
     a, x, y, z = _x_seq_chain(alpha)
     with mpmath.workdps(60):
         lhs = x * mpmath.log(x, 2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 import statistics
 import time
 from dataclasses import replace
@@ -10,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from sparsekit.baswana_sen import (
+    BaswanaSenProgram,
     build_adjacency,
+    cluster_entries,
     decide,
     final_pass,
     initial_state,
@@ -23,7 +26,7 @@ from sparsekit.baswana_sen import (
 from sparsekit.clustering import Forest
 from sparsekit.derand import deterministic_spanner
 from sparsekit.errors import InvariantViolation, ParameterError
-from sparsekit.graph import Graph
+from sparsekit.graph import Edge, Graph
 from sparsekit.rational import sampling_probability
 from sparsekit.ultra_sparse import linear_size_spanner
 from sparsekit.verify import apsp, verify_stretch, verify_stretch_friendly
@@ -100,6 +103,87 @@ def test_decide_by_hand():
     # A strictly lighter entry before the target is taken (the own
     # cluster's entry is one like any other here).
     assert decide([2, 3], 1) == [0, 1]
+
+
+def reference_cluster_entries(edges):
+    """The dict-based grouping `cluster_entries` replaced."""
+    groups = {}
+    for root, w, eid in edges:
+        groups.setdefault(root, []).append((w, eid))
+    entries = []
+    for root, pairs in groups.items():
+        w, eid = min(pairs)
+        entries.append((w, root, eid))
+    entries.sort()
+    return entries, [tuple(eid for _, eid in groups[root]) for _, root, _ in entries]
+
+
+def test_cluster_entries_matches_dict_grouping():
+    # Many weight ties and shuffled ids: the entries are the reference's,
+    # and each entry holds the same edge ids, in (weight, id) order.
+    rng = random.Random(17)
+    for _ in range(500):
+        d = rng.randint(0, 24)
+        eids = rng.sample(range(1000), d)
+        edges = [(rng.randint(1, 3), rng.randrange(6), eid) for eid in eids]
+        entries, ids = cluster_entries(iter(edges))
+        ref_entries, ref_ids = reference_cluster_entries((root, w, eid) for w, root, eid in edges)
+        assert entries == ref_entries
+        assert [set(x) for x in ids] == [set(x) for x in ref_ids]
+        weight = {eid: w for w, _, eid in edges}
+        assert all(list(x) == sorted(x, key=lambda e: (weight[e], e)) for x in ids)
+
+
+def test_build_adjacency_names_the_first_edge_to_an_unclustered_node():
+    # A star whose leaves 2 and 3 are unclustered: node 0's edges are read
+    # in id order, so edge 1 is the one named.
+    g = Graph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    state = replace(initial_state(g), clustering=Forest([0, 1, -1, -1], [(0, [0]), (1, [1])]))
+    with pytest.raises(InvariantViolation, match=r"^alive edge 1 touches unclustered node 2$"):
+        build_adjacency(state)
+
+
+def test_build_adjacency_never_calls_edge_other(monkeypatch):
+    g = gnp_graph(64, 0.15, seed=5, weighted=True, max_weight=6)
+    p = sampling_probability(g.n, 3)
+    states = [initial_state(g)]
+    for _ in range(2):
+        states.append(run_iteration(states[-1], random_samples(states[-1], p, 3)))
+    calls = []
+
+    def counted(self, x):
+        calls.append(self.id)
+        return self.u if x == self.v else self.v
+
+    expected = [build_adjacency(st) for st in states]
+    monkeypatch.setattr(Edge, "other", counted)
+    assert [build_adjacency(st) for st in states] == expected
+    assert calls == []
+
+
+def test_distributed_spanner_packs_two_messages_per_decision(monkeypatch):
+    # Each decision packs its two message forms, edge kept and edge
+    # killed, once, however many edges it sends over.
+    from sparsekit import baswana_sen, generate
+
+    g = generate.gnp(256, 16 / 256, seed=2, weighted=True)
+    packs, decisions = [], []
+    pack, decide_step = baswana_sen.pack_bits, BaswanaSenProgram._decide
+
+    def counted_pack(value, bits):
+        packs.append(value)
+        return pack(value, bits)
+
+    def counted_decide(self, st):
+        decisions.append(st.root)
+        return decide_step(self, st)
+
+    monkeypatch.setattr(baswana_sen, "pack_bits", counted_pack)
+    monkeypatch.setattr(BaswanaSenProgram, "_decide", counted_decide)
+    es, trace = run_distributed_spanner(g, 3)
+    assert es.ids == spanner(g, 3).ids
+    assert sum(trace.per_round_messages) > 4 * len(decisions)
+    assert 0 < len(packs) <= 2 * len(decisions)
 
 
 def test_join_adds_the_lighter_own_cluster_edge():
@@ -212,7 +296,14 @@ def test_sampling_probability_pinned():
 def test_sampling_probability_in_the_wide_band_is_fast():
     # Where k is large but below bitlen(n) * 2**16, p = 1 is decided by one
     # comparison, and p < 1 is bisected from a float guess checked exactly.
-    cases = [((4, 100000), Fraction(1)), ((1000, 65535), Fraction(32768, 32771))]
+    # Each comparison is decided on a fixed-point bracket of the power, not
+    # on 16k-bit numbers, which the last two cases, near p = 1, need.
+    cases = [
+        ((4, 100000), Fraction(1)),
+        ((1000, 65535), Fraction(32768, 32771)),
+        ((1000, 300000), Fraction(65536, 65537)),
+        ((2**20, 10**6), Fraction(1)),
+    ]
     for (n, k), expected in cases:
         t0 = time.perf_counter()
         assert sampling_probability(n, k) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -118,6 +119,85 @@ def test_budget_violation_names_offender():
     with pytest.raises(BudgetViolationError) as exc:
         run(g, Chatterbox(), budget_bits=64)
     assert exc.value.round_no == 1 and exc.value.bits == 8 * 10**4
+
+
+class Recorder:
+    """Node v sends its id over every edge until it halts in round 1 + v % 3,
+    odd nodes as a bytearray, and records who sent each inbox, in order."""
+
+    @staticmethod
+    def _out(view):
+        cls = bytearray if view.node % 2 else bytes
+        return {nb: cls(view.node.to_bytes(2, "little")) for _, nb, _ in reversed(view.incident)}
+
+    def init(self, view, seed):
+        return [], self._out(view), None
+
+    def step(self, log, view, round_no, inbox):
+        assert all(type(m) is bytes and int.from_bytes(m, "little") == s for s, m in inbox.items())
+        log.append(list(inbox))
+        if round_no >= 1 + view.node % 3:
+            return None, {}, Halt(log)
+        return log, self._out(view), None
+
+
+def test_inboxes_arrive_in_sender_order():
+    # Round r delivers, in ascending sender order, the neighbours that
+    # were still running in round r - 1; bytearrays arrive as bytes.
+    for seed in range(6):
+        g = connected_gnp(30, 0.2, seed=40 + seed)
+        trace = run(g, Recorder())
+        for v, log in trace.outputs.items():
+            nbs = sorted(nb for _, nb, _ in g.neighbors(v))
+            assert log == [[u for u in nbs if r - 1 < 1 + u % 3] for r in range(1, len(log) + 1)]
+
+
+class SendOnce:
+    """Node `sender` posts `outbox` in round 1; everyone halts then."""
+
+    def __init__(self, sender, outbox):
+        self.sender, self.outbox = sender, outbox
+
+    def init(self, view, seed):
+        return None, {}, None
+
+    def step(self, state, view, round_no, inbox):
+        return None, self.outbox if view.node == self.sender else {}, Halt()
+
+
+def reference_post_error(sender, outbox, neighbors, budget, round_no):
+    """The error of the per-message check loop: the first bad message in destination order."""
+    for dst in sorted(outbox):
+        msg = outbox[dst]
+        if dst not in neighbors:
+            return ParameterError(f"node {sender} sent to non-neighbor {dst}")
+        if not isinstance(msg, (bytes, bytearray)):
+            return ParameterError(f"node {sender} sent a non-bytes message")
+        if len(msg) * 8 > budget:
+            return BudgetViolationError(sender, round_no, len(msg) * 8, budget)
+    return None
+
+
+def test_outbox_errors_name_the_smallest_bad_destination():
+    # Random outboxes, mostly to neighbours and mostly good, often with
+    # several bad messages; the bulk checks must agree with the loop.
+    rng = random.Random(23)
+    good, bad = [b"ok", bytearray(b"ok"), b"", bytes(8)], [bytes(9), "str", 5]
+    g = connected_gnp(12, 0.3, seed=8)
+    for _ in range(400):
+        sender = rng.randrange(g.n)
+        neighbors = {nb for _, nb, _ in g.neighbors(sender)}
+        dsts = rng.sample(sorted(neighbors), rng.randint(1, len(neighbors)))
+        dsts += rng.sample(range(g.n), rng.randint(0, 2))
+        outbox = {dst: rng.choice(bad if rng.random() < 0.15 else good) for dst in reversed(dsts)}
+        expected = reference_post_error(sender, outbox, neighbors, 64, 1)
+        if expected is None:
+            trace = run(g, SendOnce(sender, outbox), budget_bits=64)
+            assert trace.max_message_bits == 8 * max(map(len, outbox.values()))
+            continue
+        with pytest.raises(type(expected)) as exc:
+            run(g, SendOnce(sender, outbox), budget_bits=64)
+        assert str(exc.value) == str(expected)
 
 
 def test_timeout():

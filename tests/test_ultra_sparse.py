@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from sparsekit.ultra_sparse import (
 )
 from sparsekit.verify import measure_stretch, verify_stretch
 
-from conftest import connected_gnp, gnp_graph
+from conftest import SUBPROCESS_ENV, connected_gnp, gnp_graph
 
 
 # -- the scheduling inequality -------------------------------------------------
@@ -44,6 +46,13 @@ def test_x_seq_threshold_behavior():
 def test_x_seq_rejects_tiny_alpha():
     with pytest.raises(ParameterError):
         x_seq_holds(4)
+
+
+def test_import_loads_no_mpmath():
+    # mpmath is imported only by the exact-log helpers that use it.
+    code = "import sys, sparsekit; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 # -- linear-size spanner --------------------------------------------------------
