@@ -24,7 +24,7 @@ from .certificates import (
     edge_connectivity,
     verify_certificate,
 )
-from .clustering import Cluster, ClusterGraph, Clustering, Forest, compose_spanner, contract
+from .clustering import Cluster, ClusterGraph, Clustering, compose_spanner, contract
 from .congest import (
     Halt,
     LocalView,

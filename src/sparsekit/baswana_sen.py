@@ -27,10 +27,11 @@ sampled iterations, seeded or derandomized, and `final_pass` runs the
 sample-nothing iteration and asserts that nothing survives it.  The
 seeded, derandomized and linear-size spanners are built from these two.
 
-The state's clusters live on a :class:`sparsekit.clustering.Forest`.  An
+The state's clusters are a :class:`sparsekit.clustering.Clustering`.  An
 iteration copies its parent list, points each joiner at the other end of
-its join edge and each dying node at -1, and lists a sampled cluster's
-members before its joiners.
+its join edge and each dying node at -1, and builds the next clustering
+from that list; the sampled clusters keep their roots, so cluster indices
+keep ordering clusters by root.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .clustering import Clustering, Forest
+from .clustering import Clustering
 from .congest import Halt, LocalView, derived_coin, pack_bits, unpack_bits
 from .errors import InvariantViolation, ParameterError
 from .graph import EdgeSet, Graph
@@ -66,10 +67,9 @@ class IterationStats:
 
 @dataclass(frozen=True)
 class BSState:
-    graph: Graph
     iteration: int  # 1-based index of the NEXT iteration to run
     alive_edges: frozenset[int]
-    clustering: Forest  # clusters of the alive nodes; a dead node has parent -1
+    clustering: Clustering  # clusters of the alive nodes, on the run's graph; a dead node has parent -1
     spanner: frozenset[int]
     dead_edges: Mapping[int, int]  # edge id -> iteration in which it died
     stats: IterationStats | None = None
@@ -77,10 +77,9 @@ class BSState:
 
 def initial_state(graph: Graph) -> BSState:
     return BSState(
-        graph=graph,
         iteration=1,
         alive_edges=frozenset(range(graph.m)),
-        clustering=Forest.singletons(graph.n),
+        clustering=Clustering.singletons(graph),
         spanner=frozenset(),
         dead_edges={},
     )
@@ -92,7 +91,7 @@ def cluster_entries(
     """A node's adjacent clusters, from its alive edges given as (weight, root, eid).
 
     `root` names the neighbor's cluster: its root, or any key that orders
-    clusters as their roots do, such as the index into a forest.  Returns
+    clusters as their roots do, such as a cluster index.  Returns
     one entry (weight, root, eid) per cluster, holding the minimum
     (weight, eid) edge into it, sorted by (weight, root); and each
     entry's edge ids.
@@ -142,7 +141,7 @@ class NodeAdjacency:
 
     own: int  # index of the node's cluster
     weights: tuple[int, ...]
-    clusters: tuple[int, ...]  # index into the forest's clusters, per entry
+    clusters: tuple[int, ...]  # cluster index, per entry
     eids: tuple[int, ...]  # minimum edge into the cluster, per entry
     edges_by_entry: tuple[tuple[int, ...], ...]  # alive edges into the cluster, in (weight, id) order
 
@@ -158,8 +157,8 @@ class NodeAdjacency:
 
 def build_adjacency(state: BSState) -> dict[int, NodeAdjacency]:
     """Per-node adjacent-cluster view shared by all execution paths."""
-    graph = state.graph
-    label = state.clustering.labels()  # cluster indices order clusters by root
+    graph = state.clustering.graph
+    label = state.clustering.label  # cluster indices order clusters by root
     alive: list[list[tuple[int, int, int]]] = [[] for _ in label]  # (weight, other end's label, eid)
     for eid in state.alive_edges:
         _, u, v, w = graph.edges[eid]
@@ -191,12 +190,12 @@ def run_iteration(
     views: Mapping[int, NodeAdjacency] | None = None,
 ) -> BSState:
     """Apply one iteration under the given per-cluster sample bits."""
-    forest = state.clustering
-    if len(samples) != len(forest.clusters):
+    clustering = state.clustering
+    if len(samples) != len(clustering.clusters):
         raise ParameterError(
-            f"sample vector has {len(samples)} bits for {len(forest.clusters)} clusters"
+            f"sample vector has {len(samples)} bits for {len(clustering.clusters)} clusters"
         )
-    graph = state.graph
+    graph = clustering.graph
     i = state.iteration
     if views is None:
         views = build_adjacency(state)
@@ -204,8 +203,7 @@ def run_iteration(
     added: set[int] = set()
     killed: set[int] = set()
     died: set[int] = set()
-    parent = list(forest.parent)
-    joiners: dict[int, list[int]] = {}  # cluster index -> joining nodes, ascending
+    parent = list(clustering.parent)
     added_per_node: dict[int, int] = {}
     adjacent_counts: dict[int, int] = {}
 
@@ -226,13 +224,9 @@ def run_iteration(
             parent[v] = -1
         else:
             parent[v] = graph.edges[view.eids[first]].other(v)
-            joiners.setdefault(view.clusters[first], []).append(v)
 
-    new_forest = Forest(parent, [
-        (root, members + joiners.get(idx, []))
-        for idx, (root, members) in enumerate(forest.clusters) if samples[idx]
-    ])
-    if (radius := max(new_forest.radii(), default=0)) > i:
+    clustering = Clustering(graph, parent)
+    if (radius := clustering.max_radius()) > i:
         raise InvariantViolation(f"iteration {i}: cluster radius {radius} exceeds {i}")
 
     dead_edges = dict(state.dead_edges)
@@ -240,10 +234,9 @@ def run_iteration(
         dead_edges[eid] = i
     stats = IterationStats(added_per_node, adjacent_counts, frozenset(died))
     return BSState(
-        graph=graph,
         iteration=i + 1,
         alive_edges=state.alive_edges - killed,
-        clustering=new_forest,
+        clustering=clustering,
         spanner=state.spanner | added,
         dead_edges=dead_edges,
         stats=stats,
@@ -258,8 +251,8 @@ def run_iteration(
 def random_samples(state: BSState, p: Fraction, seed: int, salt: bytes = _COIN_SALT) -> SampleVector:
     """Independent Bernoulli(p) bit per cluster, derived from the root id."""
     return tuple(
-        derived_coin(seed, root, state.iteration, p, salt)
-        for root, _ in state.clustering.clusters
+        derived_coin(seed, c.root, state.iteration, p, salt)
+        for c in state.clustering.clusters
     )
 
 
@@ -290,6 +283,7 @@ def run_iterations(
     """The g sampled iterations of one run at probability p, from `state`:
     seeded coins, or :mod:`sparsekit.derand` bit fixing if `deterministic`."""
     from . import derand  # imports this module, so it cannot be imported at the top
+    graph = state.clustering.graph
     for j in range(1, g + 1):
         views = build_adjacency(state)
         ctx = None
@@ -297,7 +291,7 @@ def run_iterations(
             samples: SampleVector = (False,) * len(state.clustering.clusters)
         elif deterministic:
             ctx = derand.UtilityContext.create(
-                n=state.graph.n, iteration=j, p=p, g=g, weighted=state.graph.weighted, iota=iota
+                n=graph.n, iteration=j, p=p, g=g, weighted=graph.weighted, iota=iota
             )
             samples = derand.fix_bits(state, ctx, enforce_target=enforce_budget, views=views)
         else:
@@ -359,7 +353,7 @@ def run_g_iterations(
         initial_state(graph), g, p, seed,
         salt=salt, deterministic=deterministic, iota=iota, enforce_budget=enforce_budget,
     )
-    return EdgeSet(graph, state.spanner), state.clustering.clustering(graph), state
+    return EdgeSet(graph, state.spanner), state.clustering, state
 
 
 # ---------------------------------------------------------------------------

@@ -9,187 +9,143 @@ cluster graph: one node per cluster, one edge per neighboring cluster
 pair, weighted by the minimum original edge weight between the pair and
 remembering a witness edge that achieves it.
 
-Clusters under construction, in the Baswana-Sen iterations and in the
-stretch-friendly partition's rounds, live on one :class:`Forest`: a
+Every construction holds its clusters in one immutable `Clustering`: a
 parent list over all nodes, in which a root points to itself and an
-unclustered (dead) node holds -1, plus each cluster's root and member
-list.  A `Clustering` is built from a forest only where a caller needs
-one.
+unclustered node holds -1.  Its only constructor validates the list
+against the graph and derives the rest from it in one walk.  The
+Baswana-Sen iterations, the stretch-friendly rounds and the LDC carve
+each build a new one per step; contraction and the stretch-friendly
+oracle read it once they have checked that it was built on their graph.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, NamedTuple
 
-from .errors import InvalidClusteringError, InvariantViolation
+from .errors import InvalidClusteringError
 from .graph import EdgeSet, Graph
 
 
-@dataclass(frozen=True)
-class Cluster:
-    cluster_id: int
+def require_same_graph(graph: Graph, expected: Graph, message: str) -> None:
+    """Raise InvalidClusteringError(message) unless `graph` is `expected` or
+    equal to it in (n, edges)."""
+    if graph is not expected and (graph.n, graph.edges) != (expected.n, expected.edges):
+        raise InvalidClusteringError(message)
+
+
+# The tree edges of every single-node cluster, shared so that a clustering
+# of n singletons allocates n frozensets fewer for the garbage collector.
+_NO_EDGES: frozenset[int] = frozenset()
+
+
+class Cluster(NamedTuple):
+    """One cluster of a `Clustering`, derived from its parent list."""
+
     root: int
     members: frozenset[int]
-    parent: Mapping[int, int]  # member -> parent member; root maps to itself
-    tree_edges: frozenset[int]
-    radius: int
-
-    def depth_of(self, v: int) -> int:
-        d = 0
-        while v != self.parent[v]:
-            v = self.parent[v]
-            d += 1
-        return d
-
-
-def tree_height(root: int, children: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]) -> tuple[list, int]:
-    """(nodes reached, height) of the tree hanging below `root`, walked
-    down level by level; `children[v]` lists v's children.  Nodes on a
-    cycle are never reached, so the walk ends unless `root` is on one."""
-    reached, height, frontier = [root], 0, [root]
-    while frontier := [c for v in frontier for c in children[v]]:
-        reached += frontier
-        height += 1
-    return reached, height
-
-
-def build_cluster(graph: Graph, cluster_id: int, root: int, parent: Mapping[int, int]) -> Cluster:
-    """Build a Cluster from parent pointers, computing tree edges and radius.
-
-    Validates that the pointers form a tree on the members rooted at
-    `root` and that every parent link is realized by a graph edge.
-    """
-    members = frozenset(parent)
-    if root not in members or parent[root] != root:
-        raise InvalidClusteringError(f"cluster {cluster_id}: root {root} not a fixed point")
-    tree_edges: set[int] = set()
-    children: dict[int, list[int]] = {v: [] for v in members}
-    for v, p in parent.items():
-        if v == root:
-            continue
-        if p not in members:
-            raise InvalidClusteringError(f"cluster {cluster_id}: parent of {v} outside cluster")
-        eid = graph.edge_between(v, p)
-        if eid is None:
-            raise InvalidClusteringError(f"cluster {cluster_id}: no edge between {v} and parent {p}")
-        tree_edges.add(eid)
-        children[p].append(v)
-    reached, radius = tree_height(root, children)
-    if len(reached) != len(members):
-        raise InvalidClusteringError(f"cluster {cluster_id}: parent pointers do not reach all members")
-    return Cluster(cluster_id, root, members, dict(parent), frozenset(tree_edges), radius)
+    radius: int  # the tree's height in hops
+    tree_edges: frozenset[int]  # the edge from each non-root member to its parent
 
 
 @dataclass(frozen=True)
 class Clustering:
-    clusters: tuple[Cluster, ...]
-    membership: Mapping[int, int]  # node -> index into clusters; absent = unclustered
+    """Disjoint rooted clusters of `graph`, given by `parent` over all nodes
+    (a root points to itself, an unclustered node holds -1).
+
+    Construction raises InvalidClusteringError unless `parent` has one
+    entry per node, every entry is a node or -1, every non-root's link to
+    its parent is a graph edge, no node hangs below an unclustered node,
+    and every parent chain ends at a root (no cycle).  It then derives
+    `label` (cluster index per node, -1 when unclustered), `depth` (hops
+    to the root, -1 when unclustered) and `clusters`, in ascending root
+    order.
+    """
+
+    graph: Graph
+    parent: tuple[int, ...]
+    label: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    depth: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    clusters: tuple[Cluster, ...] = field(init=False, compare=False)
     # output only: how the construction that returned it ran
     report: Any = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        graph, parent = self.graph, tuple(self.parent)
+        n = graph.n
+        if len(parent) != n:
+            raise InvalidClusteringError(f"parent list has {len(parent)} entries for {n} nodes")
+        roots, children = [], {}  # children lists for inner nodes only
+        up = [-1] * n  # the edge from each non-root clustered node to its parent
+        for v, p in enumerate(parent):
+            if p == v:
+                roots.append(v)
+            elif p != -1:
+                if not 0 <= p < n:
+                    raise InvalidClusteringError(f"parent {p} of node {v} is not a node")
+                if parent[p] == -1:
+                    raise InvalidClusteringError(f"node {v} hangs below unclustered node {p}")
+                if (eid := graph.edge_between(v, p)) is None:
+                    raise InvalidClusteringError(f"no edge between node {v} and its parent {p}")
+                children.setdefault(p, []).append(v)
+                up[v] = eid
+        label, depth, clusters = [-1] * n, [-1] * n, []
+        for idx, root in enumerate(roots):  # each tree level by level from its root
+            label[root], depth[root] = idx, 0
+            members, tree, frontier, d = [root], [], children.get(root, ()), 0
+            while frontier:
+                d += 1
+                members += frontier
+                nxt = []
+                for c in frontier:
+                    label[c], depth[c] = idx, d
+                    tree.append(up[c])
+                    nxt += children.get(c, ())
+                frontier = nxt
+            clusters.append((root, frozenset(members), d, frozenset(tree) if tree else _NO_EDGES))
+        if label.count(-1) != parent.count(-1):  # some clustered node is below no root
+            raise InvalidClusteringError("parent pointers do not reach all members: a cycle")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "label", tuple(label))
+        object.__setattr__(self, "depth", tuple(depth))
+        object.__setattr__(self, "clusters", tuple(map(Cluster._make, clusters)))
+
     @classmethod
-    def from_parent_maps(cls, graph: Graph, parts: Iterable[tuple[int, Mapping[int, int]]]) -> "Clustering":
-        """Build from (root, parent_map) pairs; cluster ids follow input order."""
-        clusters = tuple(build_cluster(graph, i, root, parent) for i, (root, parent) in enumerate(parts))
-        membership: dict[int, int] = {}
-        for c in clusters:
-            for v in c.members:
-                if v in membership:
-                    raise InvalidClusteringError(f"node {v} in two clusters")
-                membership[v] = c.cluster_id
-        return cls(clusters, membership)
+    def singletons(cls, graph: Graph) -> "Clustering":
+        return cls(graph, range(graph.n))
+
+    def with_report(self, report: Any) -> "Clustering":
+        """This clustering carrying `report`, without validating it again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "report", report)
+        return out
 
     def __len__(self) -> int:
         return len(self.clusters)
 
     def covered(self) -> int:
-        return len(self.membership)
+        return len(self.parent) - self.parent.count(-1)
 
     def is_partition(self, graph: Graph) -> bool:
-        return len(self.membership) == graph.n
+        return self.covered() == graph.n
 
     def max_radius(self) -> int:
         return max((c.radius for c in self.clusters), default=0)
 
-    def validate(self, graph: Graph) -> None:
-        """Re-check disjointness and every cluster tree against the graph."""
-        seen: set[int] = set()
-        for idx, c in enumerate(self.clusters):
-            if c.cluster_id != idx:
-                raise InvalidClusteringError("cluster_id/index mismatch")
-            if c.members & seen:
-                raise InvalidClusteringError("overlapping clusters")
-            seen |= c.members
-            rebuilt = build_cluster(graph, c.cluster_id, c.root, c.parent)
-            if rebuilt.radius != c.radius or rebuilt.tree_edges != c.tree_edges:
-                raise InvalidClusteringError(f"cluster {idx}: stored radius/tree edges inconsistent")
-        if dict(self.membership) != {v: i for i, c in enumerate(self.clusters) for v in c.members}:
-            raise InvalidClusteringError("membership map inconsistent with clusters")
-
     def all_tree_edges(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.clusters:
-            out |= c.tree_edges
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
-class Forest:
-    """Clusters under construction: `parent` over all nodes (a root
-    points to itself, an unclustered node holds -1) and each cluster's
-    (root, members), in ascending root order, so cluster indices order
-    clusters by root."""
-
-    parent: list[int]
-    clusters: list[tuple[int, list[int]]]
-
-    @classmethod
-    def singletons(cls, n: int) -> "Forest":
-        return cls(list(range(n)), [(v, [v]) for v in range(n)])
-
-    def labels(self) -> list[int]:
-        """node -> index of its cluster, or -1 for an unclustered node."""
-        label = [-1] * len(self.parent)
-        for idx, (_, members) in enumerate(self.clusters):
-            for v in members:
-                label[v] = idx
-        return label
-
-    def radii(self) -> list[int]:
-        """Each cluster's tree height; raises unless every tree spans
-        exactly its members."""
-        label = self.labels()
-        children: list[list[int]] = [[] for _ in self.parent]
-        for v, p in enumerate(self.parent):
-            if p != v and p != -1:
-                children[p].append(v)
-        radii = []
-        for idx, (root, members) in enumerate(self.clusters):
-            if self.parent[root] != root:
-                raise InvariantViolation(f"cluster root {root} is not a fixed point")
-            reached, height = tree_height(root, children)
-            if len(reached) != len(members) or any(label[v] != idx for v in reached):
-                raise InvariantViolation(f"cluster tree of root {root} does not span its members")
-            radii.append(height)
-        return radii
-
-    def clustering(self, graph: Graph) -> Clustering:
-        return Clustering.from_parent_maps(
-            graph, [(root, {v: self.parent[v] for v in members}) for root, members in self.clusters]
-        )
+        return frozenset(eid for c in self.clusters for eid in c.tree_edges)
 
 
 @dataclass(frozen=True)
 class ClusterGraph:
-    """Contraction of `base` along `clustering`.
+    """Contraction of `clustering.graph` along `clustering`.
 
     `graph` is the contracted simple graph whose node i stands for
     clustering.clusters[i]; `witness[eid]` is the base edge achieving the
     (minimum) weight of contracted edge eid.
     """
 
-    base: Graph
     clustering: Clustering
     graph: Graph
     witness: tuple[int, ...]
@@ -204,15 +160,16 @@ def contract(graph: Graph, clustering: Clustering) -> ClusterGraph:
 
     Ties between equal-weight inter-cluster edges break toward the
     smallest original edge id, so contraction is deterministic.
-    Unclustered nodes are dropped.
+    Unclustered nodes are dropped.  `graph` must be the clustering's
+    graph or equal to it; the clustering was validated on that graph
+    when it was built and cannot have changed since.
     """
-    clustering.validate(graph)
+    require_same_graph(graph, clustering.graph, "clustering was built on another graph")
     best: dict[tuple[int, int], int] = {}  # (cid_lo, cid_hi) -> base edge id
-    member = clustering.membership
+    label = clustering.label
     for e in graph.edges:
-        cu = member.get(e.u)
-        cv = member.get(e.v)
-        if cu is None or cv is None or cu == cv:
+        cu, cv = label[e.u], label[e.v]
+        if cu == cv or cu == -1 or cv == -1:
             continue
         key = (cu, cv) if cu < cv else (cv, cu)
         cur = best.get(key)
@@ -221,11 +178,11 @@ def contract(graph: Graph, clustering: Clustering) -> ClusterGraph:
     pairs = sorted(best.items())
     edges = [(a, b, graph.edges[eid].w) for (a, b), eid in pairs]
     cg = Graph(len(clustering.clusters), edges, weighted=graph.weighted, weight_cap=graph.weight_cap)
-    return ClusterGraph(graph, clustering, cg, tuple(eid for _, eid in pairs))
+    return ClusterGraph(clustering, cg, tuple(eid for _, eid in pairs))
 
 
 def compose_spanner(cg: ClusterGraph, cluster_spanner: EdgeSet) -> EdgeSet:
-    """Lift a spanner of the contraction `cg.graph` back to `cg.base`.
+    """Lift a spanner of the contraction `cg.graph` back to the clustering's graph.
 
     Returns the union of the tree edges of `cg.clustering`, which must be
     a partition, with the witnesses of the chosen cluster-graph edges.
@@ -233,12 +190,11 @@ def compose_spanner(cg: ClusterGraph, cluster_spanner: EdgeSet) -> EdgeSet:
     cluster-graph subgraph is an alpha-spanner of the contraction, the
     result is a ((2r+1)(alpha+1) - 1)-spanner of the base graph.
     """
-    if not cg.clustering.is_partition(cg.base):
+    base = cg.clustering.graph
+    if not cg.clustering.is_partition(base):
         raise InvalidClusteringError("compose_spanner requires a partition")
-    other = cluster_spanner.graph
     # Accept equal contractions built separately (contraction is deterministic).
-    if other is not cg.graph and (other.n, other.edges) != (cg.graph.n, cg.graph.edges):
-        raise InvalidClusteringError("cluster spanner does not match the contraction")
+    require_same_graph(cluster_spanner.graph, cg.graph, "cluster spanner does not match the contraction")
     ids = set(cg.clustering.all_tree_edges())
     ids.update(cg.witness[eid] for eid in cluster_spanner.ids)
-    return EdgeSet(cg.base, frozenset(ids))
+    return EdgeSet(base, frozenset(ids))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping
@@ -66,17 +66,16 @@ def _induced_diameter(graph: Graph, members: frozenset[int]) -> int:
     return best
 
 
-def _bfs_parents(
-    graph: Graph, root: int, members: frozenset[int], dist: Mapping[int, int]
-) -> dict[int, int]:
-    """BFS-tree parent map of graph[members]: each node points to its
-    smallest neighbor one level closer to `root` (`dist` covers members)."""
-    return {
-        u: u if u == root else min(
+def _bfs_tree(
+    graph: Graph, root: int, members: frozenset[int], dist: Mapping[int, int], parent: list[int]
+) -> None:
+    """Write the BFS tree of graph[members] into `parent`: each member
+    points to its smallest neighbor one level closer to `root` (`dist`
+    covers members)."""
+    for u in members:
+        parent[u] = u if u == root else min(
             y for _, y, _ in graph.neighbors(u) if y in members and dist[y] == dist[u] - 1
         )
-        for u in members
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +91,21 @@ class SeparatedClustering:
     t_sep: int
     universe: frozenset[int]  # the node set the carve ran on
     demoted: int  # candidates dropped by the full-metric separation guard
-    graph: Graph
 
     @cached_property
     def diameters(self) -> tuple[int, ...]:
         """Exact induced diameter per cluster, computed on first use."""
-        return tuple(_induced_diameter(self.graph, c.members) for c in self.clustering.clusters)
+        graph = self.clustering.graph
+        return tuple(_induced_diameter(graph, c.members) for c in self.clustering.clusters)
 
     def validate(self, graph: Graph) -> None:
-        member = self.clustering.membership
+        label = self.clustering.label
         for i, c in enumerate(self.clustering.clusters):
             reach = graph.bfs(c.members, nodes=self.universe, depth=self.t_sep)
-            near = [member[v] for v in reach if member.get(v, i) > i]
+            near = [label[v] for v in reach if label[v] > i]
             if near:
                 raise InvariantViolation(f"clusters {i} and {min(near)} are within distance {self.t_sep}")
-        if 2 * sum(len(c.members) for c in self.clustering.clusters) < len(self.universe):
+        if 2 * self.clustering.covered() < len(self.universe):
             raise InvariantViolation("carve clustered fewer than half the nodes")
 
 
@@ -124,9 +123,8 @@ def carve_clustering(
     universe = frozenset(range(graph.n) if nodes is None else nodes)
     remaining = set(universe)
     r_cap = t_sep * max(1, ceil_log2(max(len(universe), 2)))
-    emitted: list[tuple[int, dict[int, int]]] = []  # (root, parent map)
+    parent = [-1] * graph.n
     ecc: dict[int, int] = {}  # root -> eccentricity in its cluster
-    clustered: set[int] = set()
     demoted = 0
 
     while remaining:
@@ -142,19 +140,17 @@ def carve_clustering(
         # Full-metric guard: the candidate must sit > t_sep from every
         # emitted cluster within the carve's input graph.
         guard = graph.bfs(members, nodes=universe, depth=t_sep)
-        if any(u in clustered for u in guard):
+        if any(parent[u] != -1 for u in guard):
             demoted += 1
         else:
-            emitted.append((v, _bfs_parents(graph, v, members, dist)))
+            _bfs_tree(graph, v, members, dist, parent)
             ecc[v] = r_star
-            clustered |= members
         remaining -= {u for u, d in dist.items() if d <= r_star + t_sep}
 
-    emitted.sort(key=lambda rc: rc[0])
-    clustering = Clustering.from_parent_maps(graph, emitted)
-    if 2 * len(clustered) < len(universe):
+    clustering = Clustering(graph, parent)
+    if 2 * clustering.covered() < len(universe):
         raise InvariantViolation(
-            f"coverage {len(clustered)}/{len(universe)} below one half"
+            f"coverage {clustering.covered()}/{len(universe)} below one half"
         )
     # diam <= 2 ecc(root) <= 2 r_cap = the cap, so the exact diameter runs
     # only if that certificate fails, which a correct run never sees.
@@ -162,7 +158,7 @@ def carve_clustering(
     for c in clustering.clusters:
         if 2 * ecc[c.root] > diam_bound and (d := _induced_diameter(graph, c.members)) > diam_bound:
             raise InvariantViolation(f"cluster diameter {d} exceeds {diam_bound}")
-    result = SeparatedClustering(clustering, t_sep, universe, demoted, graph)
+    result = SeparatedClustering(clustering, t_sep, universe, demoted)
     result.validate(graph)
     return result
 
@@ -190,45 +186,42 @@ class GrowCutStep:
 def _check_step_invariants(
     graph: Graph,
     t: int,
-    clusters: list[tuple[int, dict[int, int], frozenset[int]]],
+    clustering: Clustering,
+    new: list[tuple[int, frozenset[int], dict[int, int]]],
     ledger_witness: dict[tuple[int, int], int],
     unclustered: set[int],
     diam_bound: int,
-    base: int,
 ) -> None:
-    member: dict[int, int] = {}
-    for idx, (_, _, members) in enumerate(clusters):
-        for u in members:
-            member[u] = idx
-    # (1) diameter of the clusters added this step (clusters[:base] never
+    """Invariants 1 and 3-5 after a step; `new` holds the root, members
+    and hop distances from the root of each cluster this step added, and
+    the ledger is keyed by (node, cluster root)."""
+    # (1) diameter of the clusters added this step (earlier ones never
     # change).  diam <= 2 ecc(root) by the triangle inequality, so the
     # exact check runs only when that certificate fails, which a correct
     # run never sees: ecc <= r_carve + j <= 10t*ceil(log n) + 4t - 1, so
     # 2 ecc < diameter_cap(n, 10t) + 10t.
-    for idx, (root, _, members) in enumerate(clusters[base:], base):
-        dist = graph.bfs((root,), nodes=members)
+    for root, members, dist in new:
         if len(dist) == len(members) and 2 * max(dist.values()) <= diam_bound:
             continue
         if _induced_diameter(graph, members) > diam_bound:
-            raise InvariantViolation(f"invariant 1: cluster {idx} diameter exceeds {diam_bound}")
+            raise InvariantViolation(f"invariant 1: cluster of root {root} diameter exceeds {diam_bound}")
     # (3) ledger size against covered mass
-    covered = sum(len(m) for _, _, m in clusters)
-    if len(set(ledger_witness.values())) * t > covered:
+    if len(set(ledger_witness.values())) * t > clustering.covered():
         raise InvariantViolation("invariant 3: ledger larger than covered/t")
     # (4) every neighboring cluster pair bridged, (5) unclustered witnesses
+    label, roots = clustering.label, [c.root for c in clustering.clusters]
     bridged: set[tuple[int, int]] = set()
-    for (v, cid), eid in ledger_witness.items():
-        cu = member.get(graph.edges[eid].u)
-        cv = member.get(graph.edges[eid].v)
-        if cu is not None and cv is not None and cu != cv:
+    for eid in ledger_witness.values():
+        cu, cv = label[graph.edges[eid].u], label[graph.edges[eid].v]
+        if cu != -1 and cv != -1 and cu != cv:
             bridged.add((min(cu, cv), max(cu, cv)))
     for e in graph.edges:
-        cu, cv = member.get(e.u), member.get(e.v)
-        if cu is not None and cv is not None and cu != cv:
+        cu, cv = label[e.u], label[e.v]
+        if cu != -1 and cv != -1 and cu != cv:
             if (min(cu, cv), max(cu, cv)) not in bridged:
                 raise InvariantViolation(f"invariant 4: clusters {cu},{cv} not bridged")
         for x, cx in ((e.u, cv), (e.v, cu)):
-            if x in unclustered and cx is not None and (x, cx) not in ledger_witness:
+            if x in unclustered and cx != -1 and (x, roots[cx]) not in ledger_witness:
                 raise InvariantViolation(f"invariant 5: no witness for node {x}, cluster {cx}")
 
 
@@ -239,8 +232,9 @@ def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
         raise ParameterError("t must be >= 1")
     n = graph.n
     unclustered = set(range(n))
-    clusters: list[tuple[int, dict[int, int], frozenset[int]]] = []  # (root, parents, members)
-    witness: dict[tuple[int, int], int] = {}
+    parent = [-1] * n
+    clustering = Clustering(graph, parent)
+    witness: dict[tuple[int, int], int] = {}  # (node, cluster root) -> edge id
     steps: list[GrowCutStep] = []
     diam_bound = diameter_cap(n, 10 * t) + 10 * t
     step_cap = math.ceil(1 + math.log(max(n, 2)) / math.log(10 / 7)) + 1
@@ -252,7 +246,7 @@ def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
         carve = carve_clustering(graph, 10 * t, nodes=vi)
         bad_mass = 0
         grown = 0
-        new_local: list[tuple[int, dict[int, int], frozenset[int]]] = []
+        new: list[tuple[int, frozenset[int], dict[int, int]]] = []  # (root, members, hop distances)
         for c in carve.clustering.clusters:
             dist = graph.bfs(c.members, nodes=vi, depth=4 * t)
             layer = Counter(dist.values())
@@ -268,49 +262,43 @@ def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
             tree_dist = graph.bfs((c.root,), nodes=members)
             if len(tree_dist) != len(members):
                 raise InvariantViolation("grown cluster not connected")
-            new_local.append((c.root, _bfs_parents(graph, c.root, members, tree_dist), members))
+            new.append((c.root, members, tree_dist))
             grown += len(members)
         if 5 * bad_mass > len(vi):
             raise InvariantViolation(
                 f"bad-mass bound: {bad_mass} > {len(vi)}/5 nodes in bad clusters"
             )
-        new_member: dict[int, int] = {}
-        for li, (_, _, members) in enumerate(new_local):
-            for u in members:
-                if u in new_member:
-                    raise InvariantViolation("grown clusters overlap")
-                new_member[u] = li
-        base = len(clusters)
-        clusters.extend(new_local)
+        new_root: dict[int, int] = {}  # node -> root of the new cluster holding it
+        for root, members, tree_dist in new:
+            if members & new_root.keys():
+                raise InvariantViolation("grown clusters overlap")
+            new_root.update(dict.fromkeys(members, root))
+            _bfs_tree(graph, root, members, tree_dist, parent)
+        clustering = Clustering(graph, parent)
         # Bridge edges: one per (still-outside node of G_i, new cluster).
         best: dict[tuple[int, int], int] = {}
         for e in graph.edges:
             for v, u in ((e.u, e.v), (e.v, e.u)):
-                if v in vi and v not in new_member and u in new_member:
-                    key = (v, base + new_member[u])
+                if v in vi and v not in new_root and u in new_root:
+                    key = (v, new_root[u])
                     if key not in best or e.id < best[key]:
                         best[key] = e.id
         witness.update(best)
-        unclustered -= set(new_member)
+        unclustered -= set(new_root)
         if unclustered and 10 * len(unclustered) > 7 * len(vi):
             raise InvariantViolation(
                 f"invariant 2: unclustered shrank {len(vi)} -> {len(unclustered)}"
             )
-        _check_step_invariants(graph, t, clusters, witness, unclustered, diam_bound, base)
+        _check_step_invariants(graph, t, clustering, new, witness, unclustered, diam_bound)
         steps.append(GrowCutStep(len(vi), carve.clustering.covered(), bad_mass, grown, carve.demoted))
 
-    order = sorted(range(len(clusters)), key=lambda i: clusters[i][0])
-    rank = {old: new for new, old in enumerate(order)}
-    clustering = replace(
-        Clustering.from_parent_maps(graph, [clusters[i][:2] for i in order]), report=tuple(steps)
-    )
     ledger = InterEdgeLedger(
         frozenset(witness.values()),
-        {(v, rank[cid]): eid for (v, cid), eid in witness.items()},
+        {(v, clustering.label[root]): eid for (v, root), eid in witness.items()},
     )
     if len(ledger.edges) * t > n:
         raise InvariantViolation("final ledger exceeds n/t")
-    return clustering, ledger
+    return clustering.with_report(tuple(steps)), ledger
 
 
 # ---------------------------------------------------------------------------

@@ -14,28 +14,28 @@ Orienting minimum boundary edges (ties broken by edge id) can create
 only mutual 2-cycles, never longer ones, but the coloring routine
 handles arbitrary out-degree-one graphs.
 
-Between rounds the clusters live on the :class:`Forest` that this
-module imports from :mod:`sparsekit.clustering`, the structure the
-Baswana-Sen iterations grow their clusters on too: a parent list over
-all nodes plus each cluster's root and member list.  A round
-(:func:`merge_step`) copies the parent list and reroots each attached
-piece along its root path below the other endpoint of its edge.
-Merging along minimum boundary edges preserves stretch-friendliness,
-which the tests re-check by stepping `merge_step` and running
-`verify_stretch_friendly` on the clustering after every round.
+Between rounds the clusters are a :class:`sparsekit.clustering.Clustering`,
+the structure the Baswana-Sen iterations grow their clusters in too: one
+parent list over all nodes.  A round (:func:`merge_step`) copies the
+parent list, reroots each attached piece along its root path below the
+other endpoint of its edge, and builds the next clustering from the
+list.  Merging along minimum boundary edges preserves
+stretch-friendliness, which the tests re-check by stepping `merge_step`
+and running `verify_stretch_friendly` on the clustering after every
+round.
 
-A round reads only the forest and its level, and ceil(log2 2t) =
+A round reads only the clustering and its level, and ceil(log2 2t) =
 ceil(log2 t) + 1, so :func:`partitions` yields the partitions for t, 2t,
-4t, ... from one forest with one new round per doubling, redoing only
-the closing size check and report; `partition` is its first item.
+4t, ... from one run with one new round per doubling, redoing only the
+closing size check and report; `partition` is its first item.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
-from .clustering import Clustering, Forest
+from .clustering import Clustering
 from .congest import Halt
 from .errors import InvariantViolation, ParameterError
 from .graph import Edge, Graph
@@ -162,11 +162,11 @@ class Color3Program:
 
 
 # ---------------------------------------------------------------------------
-# One round on the parent forest
+# One round on the parent list
 # ---------------------------------------------------------------------------
 
 
-def orient(graph: Graph, label: list[int], count: int) -> list[tuple[int, int] | None]:
+def orient(graph: Graph, label: Sequence[int], count: int) -> list[tuple[int, int] | None]:
     """Each cluster's minimum (w, id) boundary edge as (edge id, target
     cluster), or None without one; `label` maps node -> cluster index."""
     best: list[Edge | None] = [None] * count
@@ -225,9 +225,9 @@ def _hang(parent: list[int], v: int, below: int) -> None:
     parent[v] = prev
 
 
-def merge_step(graph: Graph, forest: Forest, level: int) -> Forest:
+def merge_step(graph: Graph, clustering: Clustering, level: int) -> Clustering:
     """One round at 1-based `level` (small means size < 2**level):
-    orient, match, merge; returns a new forest and leaves `forest` as is.
+    orient, match, merge; returns the next clustering.
 
     A merge along an edge oriented C1 -> C2 reroots C1's tree at its
     endpoint and hangs it below the other endpoint; the merged cluster
@@ -236,35 +236,26 @@ def merge_step(graph: Graph, forest: Forest, level: int) -> Forest:
     is matched or large by maximality.  Raises unless every new tree
     spans its members with radius below 3 * 2**level.
     """
-    label = forest.labels()
-    roots = [root for root, _ in forest.clusters]
+    label = clustering.label
+    roots = [c.root for c in clustering.clusters]
     out = orient(graph, label, len(roots))
-    small = [len(members) < (1 << level) for _, members in forest.clusters]
+    small = [len(c.members) < (1 << level) for c in clustering.clusters]
     winners = match_small(out, small, roots)
-    head = list(range(len(roots)))  # the cluster whose root c ends under
-    for w, tgt in winners.items():
-        head[w] = tgt
     matched = set(winners) | set(winners.values())
     loose = [c for c, o in enumerate(out) if o is not None and small[c] and c not in matched]
-    for c in loose:
-        if small[out[c][1]] and out[c][1] not in matched:
-            raise InvariantViolation("unmatched small cluster has no merge target")
-        head[c] = head[out[c][1]]
+    if any(small[out[c][1]] and out[c][1] not in matched for c in loose):
+        raise InvariantViolation("unmatched small cluster has no merge target")
 
-    parent = list(forest.parent)
-    grown: dict[int, list[int]] = {}
+    parent = list(clustering.parent)
     for c, tgt in [*winners.items(), *((c, out[c][1]) for c in loose)]:
         e = graph.edges[out[c][0]]
         u_src, u_dst = (e.u, e.v) if label[e.u] == c else (e.v, e.u)
         if label[u_src] != c or label[u_dst] != tgt:
             raise InvariantViolation("orientation edge does not reach the target cluster")
         _hang(parent, u_src, u_dst)
-        grown.setdefault(head[c], []).extend(forest.clusters[c][1])
-    merged = Forest(parent, [
-        (root, members + grown.get(c, [])) for c, (root, members) in enumerate(forest.clusters) if head[c] == c
-    ])
+    merged = Clustering(graph, parent)
     bound = 3 * (1 << level)
-    if (radius := max(merged.radii(), default=0)) >= bound:
+    if (radius := merged.max_radius()) >= bound:
         raise InvariantViolation(f"round {level}: radius {radius} >= {bound}")
     return merged
 
@@ -284,20 +275,19 @@ class PartitionReport:
 
 
 def partitions(graph: Graph, t: int) -> Iterator[Clustering]:
-    """partition(graph, t), partition(graph, 2t), ... resumed on one forest (see module doc)."""
+    """partition(graph, t), partition(graph, 2t), ... resumed round by round (see module doc)."""
     if t < 1:
         raise ParameterError("t must be >= 1")
-    forest, done, components = Forest.singletons(graph.n), 0, graph.components()
+    clustering, done, components = Clustering.singletons(graph), 0, graph.components()
     while True:
         rounds = max(t - 1, 0).bit_length()  # ceil(log2 t)
         for level in range(done + 1, rounds + 1):
-            forest = merge_step(graph, forest, level)
+            clustering = merge_step(graph, clustering, level)
         done = rounds
-        clustering = forest.clustering(graph)
         sizes = tuple(len(c.members) for c in clustering.clusters)
         undersized = []
         for comp in components:
-            cids = {clustering.membership[v] for v in comp}
+            cids = {clustering.label[v] for v in comp}
             if len(comp) < t and len(cids) == 1:
                 undersized.append(tuple(comp))
             for ci in cids if len(comp) >= t else ():
@@ -306,7 +296,7 @@ def partitions(graph: Graph, t: int) -> Iterator[Clustering]:
                         f"component with {len(comp)} nodes kept a cluster of size {sizes[ci]} < t={t}"
                     )
         report = PartitionReport(rounds, sizes, clustering.max_radius(), tuple(undersized))
-        yield replace(clustering, report=report)
+        yield clustering.with_report(report)
         t *= 2
 
 

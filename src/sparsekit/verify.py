@@ -49,7 +49,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .clustering import Clustering
+from .clustering import Clustering, require_same_graph
 from .errors import ParameterError
 from .graph import EdgeSet, Graph
 
@@ -69,6 +69,8 @@ def _adjacency_matrix(n: int, u, v, w):
 
 def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> list[int | float]:
     """Single-source shortest path weights; math.inf for unreachable nodes."""
+    if not 0 <= source < graph.n:
+        raise ParameterError(f"source {source} is not a node of a graph with {graph.n} nodes")
     allowed = None if edge_ids is None else set(edge_ids)
     dist: list[int | float] = [INF] * graph.n
     dist[source] = 0
@@ -251,14 +253,15 @@ class StretchFriendlyReport:
         return f"stretch-friendly violated in cluster {c}: edge {ge} lighter than tree edge {te}"
 
 
-def _tree_path_max(graph: Graph, cluster, u: int, v: int) -> tuple[int, int | None]:
-    """Max weight on the unique tree path between u and v inside the cluster."""
-    du, dv = cluster.depth_of(u), cluster.depth_of(v)
+def _tree_path_max(graph: Graph, clustering: Clustering, u: int, v: int) -> tuple[int, int | None]:
+    """Max weight on the unique tree path between u and v of one cluster."""
+    parent, depth = clustering.parent, clustering.depth
+    du, dv = depth[u], depth[v]
     best_w, best_e = 0, None
 
     def step(x: int) -> int:
         nonlocal best_w, best_e
-        p = cluster.parent[x]
+        p = parent[x]
         eid = graph.edge_between(x, p)
         w = graph.edges[eid].w
         if w > best_w:
@@ -289,29 +292,29 @@ def verify_stretch_friendly(
     weight w, every edge on the tree path between u and v must weigh at
     most w.  `edge_ids` restricts which graph edges are checked (used for
     clusterings defined over a surviving edge subset); cluster trees are
-    always taken from the clustering itself.
+    always taken from the clustering itself, which must have been built
+    on `graph` or an equal graph.
     """
-    member = clustering.membership
+    require_same_graph(graph, clustering.graph, "clustering was built on another graph")
+    label = clustering.label
     ids: Sequence[int] = sorted(edge_ids) if edge_ids is not None else range(graph.m)
     # Cache per-node root-path maxima lazily.
     root_max: dict[int, tuple[int, int | None]] = {}
     for eid in ids:
         e = graph.edges[eid]
-        cu, cv = member.get(e.u), member.get(e.v)
-        if cu is None and cv is None:
+        cu, cv = label[e.u], label[e.v]
+        if cu == cv == -1:
             continue
         if cu == cv:  # inside edge
-            cluster = clustering.clusters[cu]
-            mx, te = _tree_path_max(graph, cluster, e.u, e.v)
+            mx, te = _tree_path_max(graph, clustering, e.u, e.v)
             if mx > e.w:
                 return StretchFriendlyReport(False, (cu, eid, te))
             continue
         for cid, inside in ((cu, e.u), (cv, e.v)):
-            if cid is None:
+            if cid == -1:
                 continue
             if inside not in root_max:
-                cluster = clustering.clusters[cid]
-                root_max[inside] = _tree_path_max(graph, cluster, inside, cluster.root)
+                root_max[inside] = _tree_path_max(graph, clustering, inside, clustering.clusters[cid].root)
             mx, te = root_max[inside]
             if mx > e.w:
                 return StretchFriendlyReport(False, (cid, eid, te))

@@ -23,7 +23,7 @@ from sparsekit.baswana_sen import (
     run_iteration,
     spanner,
 )
-from sparsekit.clustering import Forest
+from sparsekit.clustering import Clustering
 from sparsekit.derand import deterministic_spanner
 from sparsekit.errors import InvariantViolation, ParameterError
 from sparsekit.graph import Edge, Graph
@@ -35,8 +35,8 @@ from conftest import connected_gnp, cycle_graph, gnp_graph
 
 
 def alive(st):
-    """The nodes in some cluster of the state's forest."""
-    return frozenset(v for _, members in st.clustering.clusters for v in members)
+    """The nodes in some cluster of the state's clustering."""
+    return frozenset(v for c in st.clustering.clusters for v in c.members)
 
 
 def test_iteration_all_sampled_is_inert():
@@ -65,11 +65,11 @@ def test_iteration_star_hub_sampled():
     # the hub through its spoke, adding exactly that edge.
     g = Graph(5, [(0, 1, 3), (0, 2, 1), (0, 3, 7), (0, 4, 2)])
     st = initial_state(g)
-    samples = tuple(root == 0 for root, _ in st.clustering.clusters)
+    samples = tuple(c.root == 0 for c in st.clustering.clusters)
     nxt = run_iteration(st, samples)
     assert nxt.spanner == frozenset(range(4))
     assert len(nxt.clustering.clusters) == 1
-    hub = nxt.clustering.clustering(g).clusters[0]
+    hub = nxt.clustering.clusters[0]
     assert hub.root == 0 and hub.members == frozenset(range(5)) and hub.radius == 1
 
 
@@ -80,14 +80,14 @@ def test_iteration_join_adds_strictly_lighter_edges():
     # and 3 join {2} through their own unit edges.
     g = Graph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 1), (2, 3, 1)])
     st = initial_state(g)
-    samples = tuple(root == 2 for root, _ in st.clustering.clusters)
+    samples = tuple(c.root == 2 for c in st.clustering.clusters)
     nxt = run_iteration(st, samples)
     assert nxt.stats.added_per_node[0] == 2  # join edge + strictly lighter
     assert nxt.spanner == frozenset([0, 1, 3, 4])
     assert nxt.alive_edges == frozenset([2])
     assert nxt.dead_edges == {0: 1, 1: 1, 3: 1, 4: 1}
     assert len(nxt.clustering.clusters) == 1
-    assert nxt.clustering.clustering(g).clusters[0].members == frozenset([0, 1, 2, 3])
+    assert nxt.clustering.clusters[0].members == frozenset([0, 1, 2, 3])
 
 
 def test_decide_by_hand():
@@ -138,7 +138,7 @@ def test_build_adjacency_names_the_first_edge_to_an_unclustered_node():
     # A star whose leaves 2 and 3 are unclustered: node 0's edges are read
     # in id order, so edge 1 is the one named.
     g = Graph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    state = replace(initial_state(g), clustering=Forest([0, 1, -1, -1], [(0, [0]), (1, [1])]))
+    state = replace(initial_state(g), clustering=Clustering(g, [0, 1, -1, -1]))
     with pytest.raises(InvariantViolation, match=r"^alive edge 1 touches unclustered node 2$"):
         build_adjacency(state)
 
@@ -194,7 +194,7 @@ def test_join_adds_the_lighter_own_cluster_edge():
     g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 2), (1, 3, 3)])
     st = run_iteration(initial_state(g), (True, False, False, True))
     assert st.alive_edges == frozenset([2, 3])
-    assert [sorted(c.members) for c in st.clustering.clustering(g).clusters] == [[0, 1, 2], [3]]
+    assert [sorted(c.members) for c in st.clustering.clusters] == [[0, 1, 2], [3]]
     view = build_adjacency(st)[1]
     assert view.clusters == (view.own, 1) and view.weights == (2, 3)
     assert view.adds_if_first == (1, 2)
@@ -202,7 +202,7 @@ def test_join_adds_the_lighter_own_cluster_edge():
     assert nxt.stats.added_per_node[1] == 2
     assert nxt.spanner == frozenset([0, 1, 2, 3])
     assert nxt.dead_edges[2] == 2
-    assert sorted(nxt.clustering.clustering(g).clusters[0].members) == [1, 3]
+    assert sorted(nxt.clustering.clusters[0].members) == [1, 3]
 
 
 def test_outputs_pinned():
@@ -246,8 +246,7 @@ def test_loop_and_final_pass_outputs_pinned():
 def state_summary(st):
     """What the state-trajectory pin hashes: each cluster's (root, sorted
     members, radius), then the alive edges, the spanner and the dead edges."""
-    forest = st.clustering
-    clusters = [(root, sorted(members), r) for (root, members), r in zip(forest.clusters, forest.radii())]
+    clusters = [(c.root, sorted(c.members), c.radius) for c in st.clustering.clusters]
     return clusters, sorted(st.alive_edges), sorted(st.spanner), sorted(st.dead_edges.items())
 
 
@@ -318,7 +317,7 @@ def test_final_pass_raises_when_an_edge_survives():
     # An alive edge with no alive node at either end is touched by no
     # node's step, so the sample-nothing pass leaves it alive.
     g = Graph(2, [(0, 1, 1)])
-    state = replace(initial_state(g), clustering=Forest([-1, -1], []))
+    state = replace(initial_state(g), clustering=Clustering(g, [-1, -1]))
     with pytest.raises(InvariantViolation, match="survived the final iteration"):
         final_pass(state)
     assert final_pass(initial_state(g)).spanner == frozenset([0])
@@ -378,21 +377,19 @@ def test_p1_iterations_change_nothing(monkeypatch):
 
 
 def test_run_iteration_leaves_its_input_forest_alone():
-    # The next state gets a new forest: the input's parent list and member
-    # lists are unchanged, and each dying node holds parent -1 and sits in
-    # no cluster of the new one.
+    # The next state gets a new clustering and the input's parent list is
+    # unchanged; each dying node holds parent -1 and sits in no cluster of
+    # the new one.
     deaths = 0
     for seed in range(4):
         g = gnp_graph(30, 0.2, seed=200 + seed, weighted=bool(seed % 2), max_weight=9)
         st = initial_state(g)
         while st.clustering.clusters:
-            forest = st.clustering
-            before = (list(forest.parent), [(root, list(members)) for root, members in forest.clusters])
+            before = st.clustering.parent
             nxt = run_iteration(st, random_samples(st, Fraction(1, 3), seed))
-            assert (forest.parent, forest.clusters) == before
-            label = nxt.clustering.labels()
+            assert st.clustering.parent == before and nxt.clustering is not st.clustering
             for v in nxt.stats.died:
-                assert nxt.clustering.parent[v] == -1 and label[v] == -1
+                assert nxt.clustering.parent[v] == -1 and nxt.clustering.label[v] == -1
             deaths += len(nxt.stats.died)
             st = nxt
     assert deaths > 0
@@ -437,7 +434,7 @@ def test_dead_edge_stretch_and_friendliness():
                 e = g.edges[eid]
                 assert dist[e.u][e.v] <= (2 * died_at - 1) * e.w
             for st in history[1:-1]:
-                clustering = st.clustering.clustering(g)
+                clustering = st.clustering
                 rep = verify_stretch_friendly(g, clustering, edge_ids=st.alive_edges)
                 assert rep.ok
                 assert clustering.max_radius() <= st.iteration - 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sparsekit.clustering import Cluster, Clustering, Forest, build_cluster, compose_spanner, contract, tree_height
+from sparsekit.clustering import Cluster, Clustering, compose_spanner, contract
 from sparsekit.errors import InvalidClusteringError
 from sparsekit.graph import EdgeSet, Graph
 from sparsekit.verify import verify_stretch
@@ -14,15 +14,15 @@ from conftest import cycle_graph, gnp_graph, path_graph
 
 def two_node_clusters(graph, pairs):
     """Clustering of consecutive pairs: (a, b) rooted at a via their edge."""
-    parts = []
+    parent = [-1] * graph.n
     for a, b in pairs:
-        parts.append((a, {a: a, b: a}))
-    return Clustering.from_parent_maps(graph, parts)
+        parent[a] = parent[b] = a
+    return Clustering(graph, parent)
 
 
 def test_contract_triangle():
     g = Graph(3, [(0, 1, 4), (0, 2, 7), (1, 2, 5)])
-    cl = Clustering.from_parent_maps(g, [(0, {0: 0, 1: 0}), (2, {2: 2})])
+    cl = Clustering(g, [0, 0, 2])
     cg = contract(g, cl)
     assert cg.graph.n == 2 and cg.graph.m == 1
     # weight = min(w(0,2), w(1,2)) = 5, witnessed by edge 2
@@ -32,7 +32,7 @@ def test_contract_triangle():
 
 def test_contract_identity():
     g = gnp_graph(12, 0.4, seed=3, weighted=True)
-    cg = contract(g, Forest.singletons(g.n).clustering(g))
+    cg = contract(g, Clustering.singletons(g))
     assert cg.graph.n == g.n and cg.graph.m == g.m
     # identity witnesses: contracted edge i corresponds to original edge i
     assert sorted(cg.witness) == list(range(g.m))
@@ -62,35 +62,43 @@ def test_contract_tie_break_smallest_edge_id():
     assert cg.witness == (2,)
 
 
-def test_contract_rejects_overlap():
-    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-    c0 = build_cluster(g, 0, 0, {0: 0, 1: 0})
-    c1 = Cluster(1, 1, frozenset([1, 2]), {1: 1, 2: 1}, frozenset([1]), 1)
-    with pytest.raises(InvalidClusteringError):
-        contract(g, Clustering((c0, c1), {0: 0, 1: 0, 2: 1}))
+PATH3 = Graph(4, [(0, 1, 1), (1, 2, 1)])  # the path 0-1-2 plus the isolated node 3
 
 
-def test_cluster_tree_validation():
-    g = Graph(4, [(0, 1, 1), (1, 2, 1)])
-    with pytest.raises(InvalidClusteringError):
-        build_cluster(g, 0, 0, {0: 0, 1: 0, 3: 1})  # parent outside members? 1 is inside; no edge 3-1
-    with pytest.raises(InvalidClusteringError):
-        build_cluster(g, 0, 0, {0: 0, 2: 0})  # no edge 0-2
-    with pytest.raises(InvalidClusteringError, match="do not reach all members"):
-        build_cluster(g, 0, 0, {0: 0, 1: 2, 2: 1})  # 1 and 2 point at each other
-    c = build_cluster(g, 0, 0, {0: 0, 1: 0, 2: 1})
-    assert c.radius == 2 and c.tree_edges == frozenset([0, 1])
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Clustering(PATH3, [0, 0, 1]), "3 entries for 4 nodes"),
+        (lambda: Clustering(PATH3, [0, 0, 1, 3, 3]), "5 entries for 4 nodes"),
+        (lambda: Clustering(PATH3, [0, 0, 1, -2]), "parent -2 of node 3 is not a node"),
+        (lambda: Clustering(PATH3, [0, 0, 4, 3]), "parent 4 of node 2 is not a node"),
+        (lambda: Clustering(PATH3, [0, 0, 0, 3]), "no edge between node 2 and its parent 0"),
+        (lambda: Clustering(PATH3, [0, 0, 1, 1]), "no edge between node 3 and its parent 1"),
+        (lambda: Clustering(PATH3, [0, 2, 1, 3]), "do not reach all members"),  # 1 and 2 point at each other
+        (lambda: Clustering(PATH3, [0, -1, 1, 3]), "node 2 hangs below unclustered node 1"),
+        # same n, other edges: the clustering was validated on PATH3 only
+        (lambda: contract(Graph(4, [(0, 2, 1), (1, 2, 1)]), Clustering(PATH3, [0, 0, 1, 3])), "another graph"),
+    ],
+    ids=["short", "long", "below-minus-one", "beyond-n", "non-edge", "non-edge-to-isolated",
+         "cycle", "below-unclustered", "contract-other-graph"],
+)
+def test_invalid_clustering_rejected(build, match):
+    with pytest.raises(InvalidClusteringError, match=match):
+        build()
 
 
-def test_tree_height():
-    assert tree_height(0, {0: []}) == ([0], 0)
-    assert tree_height(0, {0: [1, 3], 1: [2], 2: [4], 3: [], 4: []}) == ([0, 1, 3, 2, 4], 3)
-    assert tree_height(0, [[1], [], [3], [2]]) == ([0, 1], 1)  # the 2-3 cycle is never reached
+def test_clustering_derived_from_the_parent_list():
+    cl = Clustering(PATH3, [1, 1, 1, -1])
+    assert (cl.label, cl.depth) == ((0, 0, 0, -1), (1, 0, 1, -1))
+    assert cl.clusters == (Cluster(1, frozenset([0, 1, 2]), 1, frozenset([0, 1])),)
+    assert cl.covered() == 3 and not cl.is_partition(PATH3)
+    # an equal graph built separately is accepted
+    assert contract(Graph(4, [(0, 1, 1), (1, 2, 1)]), cl).graph.n == 1
 
 
 def test_compose_spanner_trivial_partition():
     g = gnp_graph(10, 0.5, seed=2, weighted=True)
-    cl = Forest.singletons(g.n).clustering(g)
+    cl = Clustering.singletons(g)
     cg = contract(g, cl)
     all_edges = EdgeSet(cg.graph, frozenset(range(cg.graph.m)))
     out = compose_spanner(cg, all_edges)
@@ -99,10 +107,7 @@ def test_compose_spanner_trivial_partition():
 
 def test_compose_spanner_single_cluster_is_tree_only():
     g = cycle_graph(6)
-    parent = {0: 0}
-    for v in range(1, 6):
-        parent[v] = v - 1
-    cl = Clustering.from_parent_maps(g, [(0, parent)])
+    cl = Clustering(g, [0, 0, 1, 2, 3, 4])
     cg = contract(g, cl)
     out = compose_spanner(cg, EdgeSet(cg.graph, frozenset()))
     assert len(out) == 5  # the spanning path only
@@ -111,7 +116,7 @@ def test_compose_spanner_single_cluster_is_tree_only():
 def test_compose_spanner_rejects_spanner_of_another_graph():
     # Same n and m as the contraction of the path 0-1-2-3, other edges.
     g = path_graph(4)
-    cl = Forest.singletons(g.n).clustering(g)
+    cl = Clustering.singletons(g)
     cg = contract(g, cl)
     with pytest.raises(InvalidClusteringError, match="does not match the contraction"):
         compose_spanner(cg, EdgeSet(Graph(4, [(0, 2), (2, 1), (1, 3)]), frozenset([0])))
@@ -121,7 +126,7 @@ def test_compose_spanner_rejects_spanner_of_another_graph():
 
 def test_compose_spanner_requires_partition():
     g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-    cl = Clustering.from_parent_maps(g, [(0, {0: 0, 1: 0})])  # node 2 unclustered
+    cl = Clustering(g, [0, 0, -1])  # node 2 unclustered
     cg = contract(g, cl)
     with pytest.raises(InvalidClusteringError):
         compose_spanner(cg, EdgeSet(cg.graph, frozenset()))
@@ -151,10 +156,10 @@ def test_compose_stretch_bound_random(rng):
             if e.u not in used and e.v not in used:
                 pairs.append((e.u, e.v))
                 used.update((e.u, e.v))
-        singles = [(v, {v: v}) for v in range(g.n) if v not in used]
-        cl = Clustering.from_parent_maps(
-            g, [(a, {a: a, b: a}) for a, b in pairs] + singles
-        )
+        parent = list(range(g.n))
+        for a, b in pairs:
+            parent[b] = a
+        cl = Clustering(g, parent)
         from sparsekit.verify import verify_stretch_friendly
 
         if not verify_stretch_friendly(g, cl).ok:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sparsekit.baswana_sen import BaswanaSenProgram, spanner
-from sparsekit.clustering import Clustering, Forest
+from sparsekit.clustering import Clustering
 from sparsekit.congest import (
     Halt,
     RoundTrace,
@@ -258,7 +258,7 @@ def test_round_trace_keeps_zero_round_counts():
 
 def test_run_on_cluster_graph_trivial_matches_run():
     g = connected_gnp(12, 0.3, seed=6)
-    cl = Forest.singletons(g.n).clustering(g)
+    cl = Clustering.singletons(g)
     trace, cg = run_on_cluster_graph(g, cl, FloodMin(4), seed=1)
     direct = run(g, FloodMin(4), seed=1)
     assert trace.outputs == direct.outputs
@@ -267,8 +267,7 @@ def test_run_on_cluster_graph_trivial_matches_run():
 
 def test_run_on_cluster_graph_single_cluster():
     g = path_graph(5)
-    parent = {0: 0, 1: 0, 2: 1, 3: 2, 4: 3}
-    cl = Clustering.from_parent_maps(g, [(0, parent)])
+    cl = Clustering(g, [0, 0, 1, 2, 3])
     trace, cg = run_on_cluster_graph(g, cl, HaltImmediately())
     r = cl.max_radius()
     assert trace.logical_rounds == 0 and trace.physical_rounds <= 2 * r + 1
@@ -276,7 +275,7 @@ def test_run_on_cluster_graph_single_cluster():
 
 def test_run_on_cluster_graph_requires_partition():
     g = path_graph(4)
-    cl = Clustering.from_parent_maps(g, [(0, {0: 0, 1: 0})])
+    cl = Clustering(g, [0, 0, -1, -1])
     with pytest.raises(ParameterError):
         run_on_cluster_graph(g, cl, FloodMin(1))
 
@@ -286,9 +285,7 @@ def test_color3_program_on_two_cluster_path():
     # single mutual edge, so the program must 2-color it; each logical round
     # costs 2r+1 = 3 physical rounds.
     g = path_graph(6)
-    cl = Clustering.from_parent_maps(
-        g, [(1, {1: 1, 0: 1, 2: 1}), (4, {4: 4, 3: 4, 5: 4})]
-    )
+    cl = Clustering(g, [1, 1, 1, 4, 4, 4])
     trace, cg = run_on_cluster_graph(g, cl, Color3Program({0: 1, 1: 0}))
     colors = trace.outputs
     assert set(colors) == {0, 1} and colors[0] != colors[1]

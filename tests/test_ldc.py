@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from sparsekit import ldc
+from sparsekit.clustering import Clustering
 from sparsekit.errors import InvalidClusteringError, InvariantViolation, ParameterError
 from sparsekit.graph import Graph
 from sparsekit.ldc import (
@@ -113,7 +114,7 @@ def test_grow_and_cut_distant_cliques_bridged():
     cl, ledger = grow_and_cut(g, 2)
     assert cl.is_partition(g)
     assert len(cl.clusters) >= 2
-    member = cl.membership
+    member = cl.label
     bridged = set()
     for eid in ledger.edges:
         e = g.edges[eid]
@@ -246,13 +247,14 @@ def test_invariant_one_falls_back_to_exact_diameter(exact_calls):
     everything = frozenset(range(5))
 
     def check(root, members, diam_bound):
-        ldc._check_step_invariants(g, 1, [(root, {}, members)], {}, set(), diam_bound, 0)
+        new = [(root, members, g.bfs((root,), nodes=members))]
+        ldc._check_step_invariants(g, 1, Clustering(g, [-1] * 5), new, {}, set(), diam_bound)
 
     check(2, everything, 4)  # 2 ecc(center) = 4: certified, no exact run
     assert exact_calls == []
     check(0, everything, 4)  # exact diameter 4 is within the bound
     assert exact_calls == [5]
-    with pytest.raises(InvariantViolation, match="invariant 1: cluster 0 diameter exceeds 3"):
+    with pytest.raises(InvariantViolation, match="invariant 1: cluster of root 2 diameter exceeds 3"):
         check(2, everything, 3)
     with pytest.raises(InvariantViolation, match="not connected in its induced subgraph"):
         check(0, frozenset([0, 1, 3, 4]), 100)
@@ -412,7 +414,7 @@ def ldc_transcript() -> str:
             lines.append(f"weak {sorted(weak_diameter_spanner(g, strong_primitive(t)).ids)}")
             cl, ledger = grow_and_cut(g, t)
             for c in cl.clusters:
-                lines.append(f"cluster {c.root} {sorted(c.parent.items())}")
+                lines.append(f"cluster {c.root} {[(v, cl.parent[v]) for v in sorted(c.members)]}")
             lines.append(f"ledger {sorted(ledger.edges)} {sorted(ledger.witness.items())}")
     return "\n".join(lines)
 

@@ -31,27 +31,54 @@ def small_graphs(draw, max_n=8, weighted=True):
 
 @st.composite
 def graph_with_clustering(draw):
+    """A small graph with a clustering drawn as a parent list: disjoint
+    trees grown from random roots; a root may instead stay unclustered."""
     g = draw(small_graphs())
-    # grow disjoint BFS clusters from random roots
-    order = draw(st.permutations(list(range(g.n))))
+    parent = [-1] * g.n
     unused = set(range(g.n))
-    parts = []
-    for root in order:
+    for root in draw(st.permutations(list(range(g.n)))):
         if root not in unused:
             continue
-        cap = draw(st.integers(1, 3))
-        members = {root: root}
-        frontier = [root]
-        while frontier and len(members) < cap:
+        unused.discard(root)
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        cap = draw(st.integers(1, 4))
+        parent[root], size, frontier = root, 1, [root]
+        while frontier and size < cap:
             x = frontier.pop()
             for eid in g.adj[x]:
                 y = g.edges[eid].other(x)
-                if y in unused and y not in members and len(members) < cap:
-                    members[y] = x
+                if y in unused and size < cap:
+                    parent[y], size = x, size + 1
+                    unused.discard(y)
                     frontier.append(y)
-        unused -= set(members)
-        parts.append((root, members))
-    return g, Clustering.from_parent_maps(g, parts)
+    return g, Clustering(g, parent)
+
+
+@settings(deadline=None, max_examples=100)
+@given(graph_with_clustering())
+def test_clustering_walk_matches_parent_climbs(gc):
+    # Climb each node's parent pointers to its root: the climb gives the
+    # node's root, depth and label; a cluster's radius is its deepest
+    # climb and its tree edges are the edges to the parents.
+    g, cl = gc
+    roots = sorted(v for v in range(g.n) if cl.parent[v] == v)
+    label, depth, members = [], [], {r: set() for r in roots}
+    for v in range(g.n):
+        x, d = v, 0
+        while cl.parent[x] not in (x, -1):
+            x, d = cl.parent[x], d + 1
+        clustered = cl.parent[x] == x
+        label.append(roots.index(x) if clustered else -1)
+        depth.append(d if clustered else -1)
+        if clustered:
+            members[x].add(v)
+    assert (cl.label, cl.depth) == (tuple(label), tuple(depth))
+    assert [c.root for c in cl.clusters] == roots
+    for c in cl.clusters:
+        assert c.members == members[c.root]
+        assert c.radius == max(depth[v] for v in c.members)
+        assert c.tree_edges == {g.edge_between(v, cl.parent[v]) for v in c.members if v != c.root}
 
 
 @settings(deadline=None, max_examples=60)
@@ -66,17 +93,11 @@ def test_contract_inv_round_trip(gc):
     for eid in range(cg.graph.m):
         e = cg.graph.edge(eid)
         w = g.edges[cg.witness[eid]]
-        cu = cl.membership[w.u]
-        cv = cl.membership[w.v]
+        cu = cl.label[w.u]
+        cv = cl.label[w.v]
         assert {cu, cv} == {e.u, e.v}
         assert w.w == e.w
-        mins = [
-            x.w
-            for x in g.edges
-            if cl.membership.get(x.u) is not None
-            and cl.membership.get(x.v) is not None
-            and {cl.membership[x.u], cl.membership[x.v]} == {e.u, e.v}
-        ]
+        mins = [x.w for x in g.edges if {cl.label[x.u], cl.label[x.v]} == {e.u, e.v}]
         assert e.w == min(mins)
 
 
@@ -135,7 +156,7 @@ def test_hop_outputs_pinned():
     from sparsekit.ultra_sparse import ultra_sparse_spanner
 
     def trees(clustering):
-        return [(c.root, sorted(c.parent.items())) for c in clustering.clusters]
+        return [(c.root, [(v, clustering.parent[v]) for v in sorted(c.members)]) for c in clustering.clusters]
 
     h = hashlib.sha256()
     graphs = (

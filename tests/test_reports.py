@@ -80,7 +80,7 @@ def test_partition_carries_its_report(graph):
     for cl in (partition(g, 4), partition(g, 2), partition(g, 1)):
         assert type(cl) is Clustering and isinstance(cl.report, PartitionReport)
         assert cl.report.cluster_sizes == tuple(len(c.members) for c in cl.clusters)
-        plain = Clustering(cl.clusters, cl.membership)
+        plain = Clustering(cl.graph, cl.parent)
         assert plain == cl and repr(plain) == repr(cl)
 
 

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from sparsekit.clustering import Forest
+from sparsekit.clustering import Clustering
 from sparsekit.errors import ParameterError
 from sparsekit.graph import Graph
 from sparsekit.stretch_friendly import (
@@ -78,24 +78,20 @@ def test_color3_rejects_out_neighbor_that_is_not_a_node():
 # -- matching and merging ----------------------------------------------------
 
 
-def stepped(g: Graph, t: int) -> Forest:
+def stepped(g: Graph, t: int) -> Clustering:
     """Step merge_step through partition(g, t)'s rounds, checking after
-    each round that the input forest is untouched and that the new
-    clustering is stretch-friendly."""
-    forest = Forest.singletons(g.n)
+    each round that the new clustering is stretch-friendly."""
+    clustering = Clustering.singletons(g)
     for level in range(1, max(t - 1, 0).bit_length() + 1):
-        before = (list(forest.parent), [(root, list(members)) for root, members in forest.clusters])
-        merged = merge_step(g, forest, level)
-        assert (forest.parent, forest.clusters) == before
-        rep = verify_stretch_friendly(g, merged.clustering(g))
+        clustering = merge_step(g, clustering, level)
+        rep = verify_stretch_friendly(g, clustering)
         assert rep.ok, f"round {level}: {rep}"
-        forest = merged
-    return forest
+    return clustering
 
 
 def test_match_small_mutual_pair():
     g = Graph(2, [(0, 1, 1)])
-    out = orient(g, Forest.singletons(2).labels(), 2)
+    out = orient(g, Clustering.singletons(g).label, 2)
     winners = match_small(out, [True, True], [0, 1])
     assert len(winners) == 1 and {c for p in winners.items() for c in p} == {0, 1}
 
@@ -104,20 +100,20 @@ def test_match_small_skips_large_targets():
     # cluster 1 is large (size 2 >= 2^1); the small cluster 0 points at it
     # and stays unmatched, to be absorbed in the merge step.
     g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-    forest = Forest([0, 1, 1], [(0, [0]), (1, [1, 2])])
-    small = [len(members) < 2 for _, members in forest.clusters]
+    clustering = Clustering(g, [0, 1, 1])
+    small = [len(c.members) < 2 for c in clustering.clusters]
     assert small == [True, False]
-    assert match_small(orient(g, forest.labels(), 2), small, [0, 1]) == {}
-    merged = merge_step(g, forest, level=1)
-    assert len(merged.clusters) == 1 and merged.clusters[0][0] == 1
-    assert sorted(merged.clusters[0][1]) == [0, 1, 2] and merged.parent == [1, 1, 1]
+    assert match_small(orient(g, clustering.label, 2), small, [0, 1]) == {}
+    merged = merge_step(g, clustering, level=1)
+    assert len(merged.clusters) == 1 and merged.clusters[0].root == 1
+    assert sorted(merged.clusters[0].members) == [0, 1, 2] and merged.parent == (1, 1, 1)
 
 
 def test_match_small_directed_path_maximal():
     # 4 small clusters in an orientation path 0->1->2->3: the matching must
     # be maximal (no oriented edge joins two unmatched smalls).
     g = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
-    out = orient(g, Forest.singletons(4).labels(), 4)
+    out = orient(g, Clustering.singletons(g).label, 4)
     # orientations by minimum boundary edge: 0->1, 1->0, 2->1, 3->2
     assert out == [(0, 1), (0, 0), (1, 1), (2, 2)]
     small = [True] * 4
@@ -133,25 +129,25 @@ def test_match_small_directed_path_maximal():
 
 def test_merge_two_singletons_rooted_at_head():
     g = Graph(2, [(0, 1, 1)])
-    forest = Forest.singletons(2)
-    winners = match_small(orient(g, forest.labels(), 2), [True, True], [0, 1])
-    merged = merge_step(g, forest, 1)
+    clustering = Clustering.singletons(g)
+    winners = match_small(orient(g, clustering.label, 2), [True, True], [0, 1])
+    merged = merge_step(g, clustering, 1)
     assert len(merged.clusters) == 1
     ((winner, tgt),) = winners.items()
-    assert merged.clusters[0][0] == forest.clusters[tgt][0]
-    assert sorted(merged.clusters[0][1]) == [0, 1]
+    assert merged.clusters[0].root == clustering.clusters[tgt].root
+    assert sorted(merged.clusters[0].members) == [0, 1]
 
 
 def test_merge_step_reroots_the_attached_piece():
     # the small piece {0, 1, 2} rooted at 0 attaches to the large cluster
     # {3, .., 6} through edge (2, 3): it is rerooted at 2 and hangs below
-    # 3, and the input forest is untouched.
+    # 3, and the input clustering is untouched.
     g = Graph(7, [(0, 1, 5), (1, 2, 5), (2, 3, 1), (3, 4, 5), (4, 5, 5), (5, 6, 5)])
-    forest = Forest([0, 0, 1, 3, 3, 4, 5], [(0, [0, 1, 2]), (3, [3, 4, 5, 6])])
-    merged = merge_step(g, forest, level=2)
-    assert merged.clusters == [(3, [3, 4, 5, 6, 0, 1, 2])]
-    assert merged.parent == [1, 2, 3, 3, 3, 4, 5]
-    assert forest.parent == [0, 0, 1, 3, 3, 4, 5] and forest.clusters[0] == (0, [0, 1, 2])
+    clustering = Clustering(g, [0, 0, 1, 3, 3, 4, 5])
+    merged = merge_step(g, clustering, level=2)
+    assert [(c.root, c.members, c.radius) for c in merged.clusters] == [(3, frozenset(range(7)), 3)]
+    assert merged.parent == (1, 2, 3, 3, 3, 4, 5)
+    assert clustering.parent == (0, 0, 1, 3, 3, 4, 5) and clustering.clusters[0].members == {0, 1, 2}
 
 
 def test_stepping_merge_step_reproduces_partition():
@@ -163,7 +159,7 @@ def test_stepping_merge_step_reproduces_partition():
     ]
     for g in graphs:
         for t in (1, 2, 3, 4, 8, 16):
-            assert stepped(g, t).clustering(g).clusters == partition(g, t).clusters
+            assert stepped(g, t).clusters == partition(g, t).clusters
 
 
 # -- the partition driver -----------------------------------------------------
@@ -254,7 +250,7 @@ def test_partition_outputs_pinned():
     for g in graphs:
         for t in (1, 2, 3, 4, 8, 16):
             cl = partition(g, t)
-            trees = [(c.root, sorted(c.parent.items()), c.radius) for c in cl.clusters]
+            trees = [(c.root, [(v, cl.parent[v]) for v in sorted(c.members)], c.radius) for c in cl.clusters]
             h.update(repr((trees, cl.report)).encode())
     assert h.hexdigest() == "e273b01c37bf2c5f9ae1a074632233b97715976f06af9c3fd08e453dea633b44"
 
@@ -275,10 +271,8 @@ def pinned_graphs() -> list[Graph]:
 
 
 def test_partitions_resume_equals_partition_from_singletons():
-    # `summary` keeps each yielded clustering's own parent maps, so a later
-    # round that wrote into them would show up in the comparison too.
     def summary(cl):
-        return [(c.root, c.parent, c.radius) for c in cl.clusters], cl.report
+        return cl.parent, cl.clusters, cl.report
 
     for g in pinned_graphs():
         for t in (1, 2, 3, 5):

@@ -14,7 +14,7 @@ from sparsekit import generate, verify
 from sparsekit.baswana_sen import spanner
 from sparsekit.clustering import Clustering
 from sparsekit.derand import deterministic_spanner
-from sparsekit.errors import ParameterError
+from sparsekit.errors import InvalidClusteringError, ParameterError
 from sparsekit.graph import EdgeSet, Graph
 from sparsekit.ldc import ldc_sparse_spanner
 from sparsekit.ultra_sparse import ultra_sparse_spanner
@@ -84,6 +84,12 @@ def test_sssp_respects_edge_restrictions():
     assert d[4] == 4
 
 
+def test_sssp_rejects_a_source_outside_the_graph():
+    for g, source in ((Graph(0, []), 0), (path_graph(3), 3), (path_graph(3), -1)):
+        with pytest.raises(ParameterError, match=f"source {source} is not a node"):
+            sssp(g, source)
+
+
 def test_verify_stretch_full_graph_is_one():
     g = gnp_graph(15, 0.4, seed=9, weighted=True)
     rep = verify_stretch(g, EdgeSet(g, frozenset(range(g.m))), 1)
@@ -125,28 +131,27 @@ def test_stretch_friendly_unweighted_any_clustering():
     # grow arbitrary BFS clusters of size <= 3
     rng = random.Random(0)
     unused = set(range(g.n))
-    parts = []
+    parent = [-1] * g.n
     while unused:
         root = min(unused)
-        members = {root: root}
-        frontier = [root]
-        while frontier and len(members) < 3:
+        parent[root], size, frontier = root, 1, [root]
+        unused.discard(root)
+        while frontier and size < 3:
             x = frontier.pop()
             for eid in g.adj[x]:
                 y = g.edges[eid].other(x)
-                if y in unused and y not in members and len(members) < 3:
-                    members[y] = x
+                if y in unused and size < 3:
+                    parent[y], size = x, size + 1
+                    unused.discard(y)
                     frontier.append(y)
-        unused -= set(members)
-        parts.append((root, members))
-    cl = Clustering.from_parent_maps(g, parts)
+    cl = Clustering(g, parent)
     assert verify_stretch_friendly(g, cl).ok
 
 
 def test_stretch_friendly_star_cluster_ok():
     # hub-rooted star with unit tree weights; a heavy boundary edge is fine
     g = Graph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 5)])
-    cl = Clustering.from_parent_maps(g, [(0, {0: 0, 1: 0, 2: 0, 3: 0}), (4, {4: 4})])
+    cl = Clustering(g, [0, 0, 0, 0, 4])
     assert verify_stretch_friendly(g, cl).ok
 
 
@@ -154,7 +159,7 @@ def test_stretch_friendly_violation_on_root_path():
     # path a-b-c with w(a,b)=3, w(b,c)=1, cluster rooted at c,
     # boundary edge at a of weight 2: a's root path holds the weight-3 edge.
     g = Graph(4, [(0, 1, 3), (1, 2, 1), (0, 3, 2)])
-    cl = Clustering.from_parent_maps(g, [(2, {2: 2, 1: 2, 0: 1}), (3, {3: 3})])
+    cl = Clustering(g, [1, 2, 2, 3])
     rep = verify_stretch_friendly(g, cl)
     assert not rep.ok
     cluster_id, graph_edge, tree_edge = rep.violation
@@ -165,15 +170,25 @@ def test_stretch_friendly_inside_edge_check():
     # triangle cluster: tree edges 0-1 (w=5), 1-2 (w=1); inside edge 0-2 w=2
     # has tree path 0-1-2 holding the weight-5 edge -> violation
     g = Graph(3, [(0, 1, 5), (1, 2, 1), (0, 2, 2)])
-    cl = Clustering.from_parent_maps(g, [(1, {1: 1, 0: 1, 2: 1})])
+    cl = Clustering(g, [1, 1, 1])
     rep = verify_stretch_friendly(g, cl)
     assert not rep.ok and rep.violation[1] == 2
 
 
 def test_stretch_friendly_edge_subset_restriction():
     g = Graph(3, [(0, 1, 5), (1, 2, 1), (0, 2, 2)])
-    cl = Clustering.from_parent_maps(g, [(1, {1: 1, 0: 1, 2: 1})])
+    cl = Clustering(g, [1, 1, 1])
     assert verify_stretch_friendly(g, cl, edge_ids=[0, 1]).ok
+
+
+def test_stretch_friendly_rejects_a_clustering_of_another_graph():
+    # clusters {0, 1} and {2} of the path 0-1-2; the first graph has no
+    # edge under the tree link 1 -> 0, the second has fewer nodes
+    cl = Clustering(path_graph(3), [0, 0, 2])
+    for other in (Graph(3, [(0, 2, 1), (1, 2, 1)]), Graph(2, [(0, 1, 1)])):
+        with pytest.raises(InvalidClusteringError, match="built on another graph"):
+            verify_stretch_friendly(other, cl)
+    assert verify_stretch_friendly(path_graph(3), cl).ok  # an equal graph built separately
 
 
 def test_measure_stretch_zero_weight_edges():
