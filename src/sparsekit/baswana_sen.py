@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .clustering import Clustering
 from .congest import Halt, LocalView, derived_coin, pack_bits, unpack_bits
-from .errors import InvariantViolation, ParameterError
+from .errors import SEED_RANGE, InvariantViolation, ParameterError, check_int, check_rational
 from .graph import EdgeSet, Graph
 from .rational import ceil_log2, sampling_probability
 
@@ -192,9 +192,7 @@ def run_iteration(
     """Apply one iteration under the given per-cluster sample bits."""
     clustering = state.clustering
     if len(samples) != len(clustering.clusters):
-        raise ParameterError(
-            f"sample vector has {len(samples)} bits for {len(clustering.clusters)} clusters"
-        )
+        raise ParameterError(f"sample vector has {len(samples)} bits for {len(clustering.clusters)} clusters")
     graph = clustering.graph
     i = state.iteration
     if views is None:
@@ -312,8 +310,7 @@ def final_pass(state: BSState) -> BSState:
 
 def _spanner(graph: Graph, k: int, seed: int = 0, *, deterministic: bool = False, **sampler) -> EdgeSet:
     """The sampled iterations of `_schedule(n, k)`, then the final pass."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k, seed = check_int("k", k, lo=1), check_int("seed", seed, **SEED_RANGE)
     p, g = _schedule(graph.n, k, deterministic)
     state = run_iterations(initial_state(graph), g, p, seed, deterministic=deterministic, **sampler)
     return EdgeSet(graph, final_pass(state).spanner)
@@ -344,11 +341,9 @@ def run_g_iterations(
     flips with the conditional-expectation bit fixing from
     :mod:`sparsekit.derand`.
     """
-    p = Fraction(p)
-    if g < 0:
-        raise ParameterError("g must be >= 0")
-    if p != 0 and graph.n >= 2 and not (Fraction(1, graph.n) < p < 1):
-        raise ParameterError(f"p={p} outside (1/n, 1)")
+    g, seed, iota = check_int("g", g, lo=0), check_int("seed", seed, **SEED_RANGE), check_int("iota", iota, lo=1)
+    if (p := check_rational("p", p, lo=0, hi=1, open_hi=True)) and graph.n >= 2:  # p = 0 samples nothing
+        check_rational("p", p, lo=Fraction(1, graph.n), open_lo=True)
     state = run_iterations(
         initial_state(graph), g, p, seed,
         salt=salt, deterministic=deterministic, iota=iota, enforce_budget=enforce_budget,
@@ -394,9 +389,7 @@ class BaswanaSenProgram:
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ParameterError("k must be >= 1")
-        self.k = k
+        self.k = check_int("k", k, lo=1)
         self._coins: dict[tuple, bool] = {}
         self._schedules: dict[int, tuple[Fraction, int]] = {}
 

@@ -34,22 +34,13 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import InvariantViolation, ParameterError
+from .errors import SEED_RANGE, InvariantViolation, ParameterError, check_int, check_rational
 from .graph import EdgeSet, Graph
 from .rational import rat_ln_upper
 from .ultra_sparse import ultra_sparse_spanner
 
 CUT_ENUM_LIMIT = 18
 CUT_BLOCK = 1 << 12  # cuts per enumeration block: CUT_BLOCK x m booleans at a time
-
-
-def _frac(eps) -> Fraction:
-    """Decimal-friendly parameter conversion (0.1 means exactly 1/10)."""
-    if isinstance(eps, float):
-        if not math.isfinite(eps):
-            raise ParameterError(f"eps must be finite, got {eps}")
-        return Fraction(str(eps))
-    return Fraction(eps)
 
 
 def _ends(graph: Graph, edge_ids) -> np.ndarray:
@@ -107,9 +98,7 @@ def edge_connectivity(graph: Graph, edge_ids: Iterable[int] | None = None) -> in
 
 def skeleton_for(eps) -> Callable[[Graph], EdgeSet]:
     """Default skeleton: ultra-sparse spanner capped at n + floor(n*eps) edges."""
-    eps = _frac(eps)
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    eps = check_rational("eps", eps, lo=0, open_lo=True)
 
     def skel(g: Graph) -> EdgeSet:
         slack = max(1, math.floor(g.n * eps))
@@ -127,9 +116,7 @@ def certificate_small_k(
 ) -> EdgeSet:
     """k-fold skeleton extraction; keeps all or >= k edges of every cut.
     The result's `report` is the list of extracted layers (edge-id sets)."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    eps = _frac(eps)
+    k, eps = check_int("k", k, lo=1), check_rational("eps", eps, lo=0, open_lo=True)
     if skeleton is None:
         skeleton = skeleton_for(eps)
     remaining = set(range(graph.m))
@@ -145,9 +132,7 @@ def certificate_small_k(
         acc |= ids
         remaining -= ids
     if len(acc) > graph.n * k * (1 + eps):
-        raise InvariantViolation(
-            f"certificate has {len(acc)} edges, cap {graph.n * k} * (1+{eps})"
-        )
+        raise InvariantViolation(f"certificate has {len(acc)} edges, cap {graph.n * k} * (1+{eps})")
     return EdgeSet(graph, frozenset(acc), layers)
 
 
@@ -178,14 +163,11 @@ def certificate_large_k(
     n*k*(1+eps) edges; internally eps/8 drives the split.  The result's
     `report` is {"q", "k_part", "parts"}.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    eps = _frac(eps)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ParameterError("eps must lie in (0, 1/2)")
+    k, seed = check_int("k", k, lo=1), check_int("seed", seed, **SEED_RANGE)
+    eps = check_rational("eps", eps, lo=0, hi=Fraction(1, 2), open_lo=True, open_hi=True)
     e = eps / 8
     ln_n = rat_ln_upper(max(graph.n, 2))
-    q = max(1, math.floor(k * e * e / (Fraction(str(c_k)) * ln_n)))
+    q = max(1, math.floor(k * e * e / (check_rational("c_k", c_k, lo=0, open_lo=True) * ln_n)))
     # one part has no splitting error to absorb: the sequential build
     kp = math.ceil(k * (1 + e) / (q * (1 - e))) if q > 1 else k
     parts = karger_parts(graph, q, seed)
@@ -194,9 +176,7 @@ def certificate_large_k(
         sub, emap = graph.edge_subgraph(part)
         ids.update(emap[i] for i in certificate_small_k(sub, kp, eps=e).ids)
     if len(ids) > graph.n * k * (1 + 8 * e):
-        raise InvariantViolation(
-            f"certificate has {len(ids)} edges, cap {graph.n * k} * (1+{8 * e})"
-        )
+        raise InvariantViolation(f"certificate has {len(ids)} edges, cap {graph.n * k} * (1+{8 * e})")
     return EdgeSet(graph, frozenset(ids), {"q": q, "k_part": kp, "parts": parts})
 
 
@@ -237,14 +217,14 @@ def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport
     Exhaustive cut enumeration up to CUT_ENUM_LIMIT nodes, else one Gomory-Hu tree
     of cert; that fails on the first omitted edge (u,v) with lambda_cert(u,v) < k.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = check_int("k", k, lo=1)
+    k_cut = min(k, graph.m + 1)  # no cut or flow exceeds m; numpy compares within int64
     kept, omitted = sorted(cert.ids), sorted(set(range(graph.m)) - cert.ids)
     if graph.n <= CUT_ENUM_LIMIT:
         for lo, cross in _cut_blocks(graph, kept + omitted):
             cut_h = np.count_nonzero(cross[:, : len(kept)], axis=1)
             cut_g = cut_h + np.count_nonzero(cross[:, len(kept) :], axis=1)
-            bad = np.flatnonzero(cut_h < np.minimum(cut_g, k))
+            bad = np.flatnonzero(cut_h < np.minimum(cut_g, k_cut))
             if len(bad):
                 i = int(bad[0])
                 detail = {"cut_mask": lo + i, "cut_size": int(cut_g[i]), "kept": int(cut_h[i])}
@@ -252,7 +232,7 @@ def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport
         return CertificateReport(True, "cuts", k, {"cuts_checked": (1 << max(graph.n - 1, 0)) - 1})
     cap = _unit_capacity(graph, kept)
     parent, flow = _gomory_hu(cap)
-    strong = np.flatnonzero(flow >= k)  # never the root: flow[0] = 0 < k
+    strong = np.flatnonzero(flow >= k_cut)  # never the root: flow[0] = 0 < k
     tree = csr_matrix((np.ones(len(strong)), (strong, parent[strong])), shape=cap.shape)
     label = csgraph.connected_components(tree, directed=False)[1]
     bad = np.flatnonzero(np.not_equal(*label[_ends(graph, omitted)]))

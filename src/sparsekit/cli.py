@@ -22,7 +22,7 @@ from . import __version__
 from .baswana_sen import run_distributed_spanner, spanner
 from .certificates import certificate_large_k, certificate_small_k, verify_certificate
 from .derand import deterministic_spanner
-from .errors import ParameterError, SparsekitError
+from .errors import ParameterError, SparsekitError, check_rational
 from .generate import KINDS
 from .graph import Graph
 from .ldc import ldc_sparse_spanner, stretch_bound_ldc
@@ -53,16 +53,9 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    kind = KINDS[args.kind]
-    kwargs = {"weighted": args.weighted, "max_weight": args.max_weight}
-    if args.kind == "gnp":
-        g = kind(args.n, args.p, args.seed, **kwargs)
-    elif args.kind == "grid":
-        g = kind(args.rows, args.cols, args.seed, **kwargs)
-    elif args.kind == "k-connected-random":
-        g = kind(args.n, args.k, args.seed, **kwargs)
-    else:
-        g = kind(args.n, args.seed, **kwargs)
+    sizes = {"gnp": ("n", "p"), "grid": ("rows", "cols"), "k-connected-random": ("n", "k")}.get(args.kind, ("n",))
+    g = KINDS[args.kind](*(getattr(args, a) for a in sizes), args.seed, weighted=args.weighted,
+                         max_weight=args.max_weight)
     _write_output(args.output, g.to_text())
     return 0
 
@@ -98,7 +91,7 @@ def cmd_spanner(args) -> int:
         if alpha is not None:
             rep = verify_stretch(graph, edges, alpha)
             ratio, worst, ok = rep.worst_ratio, rep.worst_edge, rep.ok
-            report["stretch_bound"] = _fmt(Fraction(alpha))
+            report["stretch_bound"] = _fmt(alpha)
             report["stretch_ok"] = rep.ok
         else:
             ratio, worst = measure_stretch(graph, edges.ids)
@@ -139,7 +132,7 @@ def cmd_certificate(args) -> int:
         "n": graph.n,
         "m": graph.m,
         "edges": len(cert),
-        "edge_cap": math.floor(graph.n * args.k * (1 + Fraction(str(args.eps)))),
+        "edge_cap": math.floor(graph.n * args.k * (1 + check_rational("eps", args.eps))),
     }
     ok = True
     if args.verify:

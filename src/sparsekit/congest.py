@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Any, Protocol
 
 from .clustering import ClusterGraph, Clustering, contract
-from .errors import BudgetViolationError, ParameterError, SimulationTimeout
+from .errors import SEED_RANGE, BudgetViolationError, ParameterError, SimulationTimeout, check_int
 from .graph import Graph
 from .rational import ceil_log2
 
@@ -146,10 +146,9 @@ def run(
     bit budget and SimulationTimeout when max_rounds passes with running
     nodes.
     """
-    budget = default_budget_bits(graph.n) if budget_bits is None else budget_bits
-    if budget < 1:
-        raise ParameterError("budget_bits must be >= 1")
-    limit = max_rounds if max_rounds is not None else max(16, 10 * graph.n)
+    budget = default_budget_bits(graph.n) if budget_bits is None else check_int("budget_bits", budget_bits, lo=1)
+    limit = max(16, 10 * graph.n) if max_rounds is None else check_int("max_rounds", max_rounds, lo=0)
+    seed = check_int("seed", seed, **SEED_RANGE)
 
     incident: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
     for eid, u, v, w in graph.edges:  # ascending ids, the order of graph.adj

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .baswana_sen import BSState, NodeAdjacency, SampleVector, _spanner, build_adjacency
-from .errors import ConfigurationError, InvariantViolation, ParameterError
+from .errors import ConfigurationError, InvariantViolation, ParameterError, check_int, check_rational
 from .graph import EdgeSet, Graph
 from .rational import log_factor, rat_ln_upper
 
@@ -77,21 +77,19 @@ class UtilityContext:
         iota: int = 64,
         xi: Fraction | None = None,
     ) -> "UtilityContext":
-        p = Fraction(p)
-        if not (0 < p < 1):
-            raise ParameterError("derandomization needs 0 < p < 1")
-        if iteration < 1 or g < 1 or iteration > g:
-            raise ParameterError("need 1 <= iteration <= g")
+        p = check_rational("p", p, lo=0, hi=1, open_lo=True, open_hi=True)
+        g, iota = check_int("g", g, lo=1), check_int("iota", iota, lo=1)
+        iteration = check_int("iteration", iteration, lo=1, hi=g)
         ln_g = log_factor(g)
         tau = ln_g / p
         if xi is None:
-            xi = Fraction(10) * rat_ln_upper(max(n, 2)) / p
+            xi = 10 * rat_ln_upper(max(n, 2)) / p
         if weighted:
-            coef = Fraction(iota) / p ** (iteration + 1)
-            target = Fraction(iota) * n / p
+            coef = iota / p ** (iteration + 1)
+            target = iota * n / p
         else:
-            coef = Fraction(iota) * ln_g / (g * p ** (iteration + 1))
-            target = Fraction(iota) * n * ln_g / (p * g)
+            coef = iota * ln_g / (g * p ** (iteration + 1))
+            target = iota * n * ln_g / (p * g)
         return cls(n, iteration, p, g, weighted, iota, p / 4, ln_g, tau, xi, coef, target)
 
 
@@ -296,4 +294,4 @@ def deterministic_spanner(
     graph: Graph, k: int, *, iota: int = 64, enforce_budget: bool = True
 ) -> EdgeSet:
     """(2k-1)-spanner with derandomized sampling; bit-identical across runs."""
-    return _spanner(graph, k, deterministic=True, iota=iota, enforce_budget=enforce_budget)
+    return _spanner(graph, k, deterministic=True, iota=check_int("iota", iota, lo=1), enforce_budget=enforce_budget)

@@ -1,6 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the parameter contract:
+each public entry point passes every scalar parameter through `check_int`
+or `check_rational` once per call, and a rejected value is a ParameterError.
+"""
 
 from __future__ import annotations
+
+import math
+import operator
+from fractions import Fraction
 
 
 class SparsekitError(Exception):
@@ -17,6 +24,46 @@ class InvalidClusteringError(SparsekitError):
 
 class ParameterError(SparsekitError):
     """An operation was called with out-of-range parameters."""
+
+
+SEED_RANGE = {"lo": -(1 << 127), "hi": (1 << 127) - 1}  # seeds are hashed as 16 signed bytes
+
+
+def check_int(name: str, value, *, lo=None, hi=None) -> int:
+    """`value` as a plain int; ParameterError unless it is an integer in [lo, hi].
+    bool is not an integer here (`spanner(g, True)` is a slip, not k = 1);
+    numpy integers are, like anything else with `__index__`."""
+    return _within(name, value, _as_int(value), "an int", lo, hi)
+
+
+def check_rational(name: str, value, *, lo=None, hi=None, open_lo=False, open_hi=False) -> Fraction:
+    """`value` as a Fraction; ParameterError unless it is a rational within the
+    bounds, each closed unless `open_lo` / `open_hi`.  A rational is a Fraction,
+    an integer by `check_int`'s rule, or a finite float, read as the decimal it
+    prints as: 0.1 is 1/10, not the double nearest to it."""
+    if isinstance(value, float):
+        x = Fraction(str(value)) if math.isfinite(value) else None
+    else:
+        x = value if isinstance(value, Fraction) else _as_int(value)
+    return _within(name, value, None if x is None else Fraction(x), "a rational", lo, hi, open_lo, open_hi)
+
+
+def _as_int(value) -> int | None:
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _within(name, value, x, kind, lo, hi, open_lo=False, open_hi=False):
+    """x, unless it is None or out of bounds: then a ParameterError naming the rule."""
+    if (x is None or (lo is not None and (x <= lo if open_lo else x < lo))
+            or (hi is not None and (x >= hi if open_hi else x > hi))):
+        left = "" if lo is None else f"{lo} {'<' if open_lo else '<='} "
+        right = "" if hi is None else f" {'<' if open_hi else '<='} {hi}"
+        rule = f" with {left}{name}{right}" if left or right else ""
+        raise ParameterError(f"{name} must be {kind}{rule}, got {value!r}")
+    return x
 
 
 class ConfigurationError(SparsekitError):

@@ -7,26 +7,27 @@ weights uniformly from [1, max_weight].
 
 from __future__ import annotations
 
+import math
 import random
 
 from .certificates import edge_connectivity
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_rational
 from .graph import Graph
 
 K_CONNECTED_NODE_LIMIT = 300
 
 
-def _weigher(rng: random.Random, weighted: bool, max_weight: int):
-    if weighted and max_weight < 1:
-        raise ParameterError("max_weight must be >= 1")
-    return (lambda: rng.randint(1, max_weight)) if weighted else (lambda: 1)
+def _stream(seed: int, weighted: bool, max_weight: int):
+    """The generator's stream and its weight draw, once the seed and max_weight pass their checks."""
+    rng = random.Random(check_int("seed", seed))  # any int: random.Random takes seeds of any size
+    max_weight = check_int("max_weight", max_weight, lo=1)
+    return rng, (lambda: rng.randint(1, max_weight)) if weighted else (lambda: 1)
 
 
 def gnp(n: int, p: float, seed: int = 0, *, weighted: bool = False, max_weight: int = 100) -> Graph:
-    if n < 0 or not (0 <= p <= 1):
-        raise ParameterError("need n >= 0 and p in [0, 1]")
-    rng = random.Random(seed)
-    w = _weigher(rng, weighted, max_weight)
+    n = check_int("n", n, lo=0)
+    check_rational("p", p, lo=0, hi=1)  # and compared with rng.random() as given
+    rng, w = _stream(seed, weighted, max_weight)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -36,18 +37,14 @@ def gnp(n: int, p: float, seed: int = 0, *, weighted: bool = False, max_weight: 
 
 
 def cycle(n: int, seed: int = 0, *, weighted: bool = False, max_weight: int = 100) -> Graph:
-    if n < 3:
-        raise ParameterError("cycle needs n >= 3")
-    rng = random.Random(seed)
-    w = _weigher(rng, weighted, max_weight)
+    n = check_int("n", n, lo=3)
+    rng, w = _stream(seed, weighted, max_weight)
     return Graph(n, [(i, (i + 1) % n, w()) for i in range(n)], weighted=weighted)
 
 
 def grid(rows: int, cols: int, seed: int = 0, *, weighted: bool = False, max_weight: int = 100) -> Graph:
-    if rows < 1 or cols < 1:
-        raise ParameterError("grid needs rows, cols >= 1")
-    rng = random.Random(seed)
-    w = _weigher(rng, weighted, max_weight)
+    rows, cols = check_int("rows", rows, lo=1), check_int("cols", cols, lo=1)
+    rng, w = _stream(seed, weighted, max_weight)
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -61,22 +58,16 @@ def grid(rows: int, cols: int, seed: int = 0, *, weighted: bool = False, max_wei
 
 def random_tree(n: int, seed: int = 0, *, weighted: bool = False, max_weight: int = 100) -> Graph:
     """Random recursive tree: node i attaches to a uniform earlier node."""
-    if n < 1:
-        raise ParameterError("tree needs n >= 1")
-    rng = random.Random(seed)
-    w = _weigher(rng, weighted, max_weight)
+    n = check_int("n", n, lo=1)
+    rng, w = _stream(seed, weighted, max_weight)
     edges = [(i, rng.randrange(i), w()) for i in range(1, n)]
     return Graph(n, edges, weighted=weighted)
 
 
 def k_connected_random(n: int, k: int, seed: int = 0, *, weighted: bool = False, max_weight: int = 100) -> Graph:
     """G(n, p) resampled (with growing p) until lambda(G) >= k, checked exactly."""
-    if n > K_CONNECTED_NODE_LIMIT:
-        raise ParameterError(f"k-connected generator capped at n <= {K_CONNECTED_NODE_LIMIT}")
-    if k < 1 or k >= n:
-        raise ParameterError("need 1 <= k < n")
-    import math
-
+    n = check_int("n", n, lo=2, hi=K_CONNECTED_NODE_LIMIT)
+    k, seed = check_int("k", k, lo=1, hi=n - 1), check_int("seed", seed)
     p = min(1.0, (k + 2 * math.log(max(n, 2))) / max(n - 1, 1))
     for attempt in range(64):
         g = gnp(n, p, seed=seed * 977 + attempt, weighted=weighted, max_weight=max_weight)

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Container, Iterable, Iterator, NamedTuple
 
-from .errors import InvalidGraphError
+from .errors import InvalidGraphError, ParameterError, check_int
+
+
+def _graph_int(name: str, value, lo=None) -> int:
+    """`check_int`'s rule for graph input, failing with InvalidGraphError."""
+    try:
+        return check_int(name, value, lo=lo)
+    except ParameterError as ex:
+        raise InvalidGraphError(str(ex)) from None
 
 
 class Edge(NamedTuple):
@@ -50,30 +58,29 @@ class Graph:
         weighted: bool = True,
         weight_cap: int | None = None,
     ):
-        if n < 0:
-            raise InvalidGraphError("negative node count")
-        self.n = n
+        self.n = n = _graph_int("n", n, lo=0)
         self.weighted = weighted
         self.weight_cap = weight_cap if weight_cap is not None else max(4, n) ** 4
         built: list[Edge] = []
         pair_index: dict[tuple[int, int], int] = {}
         adj: list[list[int]] = [[] for _ in range(n)]
         for eid, e in enumerate(edges):
-            if len(e) == 2:
-                u, v = e  # type: ignore[misc]
-                w = 1
-            else:
-                u, v, w = e  # type: ignore[misc]
+            try:
+                if len(e) == 2:
+                    (u, v), w = e, 1
+                else:
+                    u, v, w = e  # type: ignore[misc]
+            except (TypeError, ValueError):
+                raise InvalidGraphError(f"edge {eid}: {e!r} is not (u, v) or (u, v, w)") from None
+            if type(u) is not int or type(v) is not int or type(w) is not int:  # one cheap test per field
+                u, v = (_graph_int(f"edge {eid}: endpoint", x) for x in (u, v))
+                w = _graph_int(f"edge {eid}: weight", w)
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidGraphError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise InvalidGraphError(f"edge {eid}: self-loop at node {u}")
-            if not isinstance(w, int):
-                raise InvalidGraphError(f"edge {eid}: non-integer weight {w!r}")
             if w < 0 or w > self.weight_cap:
-                raise InvalidGraphError(
-                    f"edge {eid}: weight {w} outside [0, {self.weight_cap}]"
-                )
+                raise InvalidGraphError(f"edge {eid}: weight {w} outside [0, {self.weight_cap}]")
             if not weighted and w != 1:
                 raise InvalidGraphError(f"edge {eid}: unweighted graph with weight {w}")
             key = (u, v) if u < v else (v, u)

@@ -44,7 +44,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .clustering import Clustering
-from .errors import InvalidClusteringError, InvariantViolation, ParameterError
+from .errors import InvalidClusteringError, InvariantViolation, ParameterError, check_int
 from .graph import EdgeSet, Graph
 from .rational import ceil_log2
 
@@ -118,8 +118,7 @@ def carve_clustering(
     graph: Graph, t_sep: int, nodes: Iterable[int] | None = None
 ) -> SeparatedClustering:
     """Sequential guarded ball-carving (see module docstring)."""
-    if t_sep < 1:
-        raise ParameterError("t_sep must be >= 1")
+    t_sep = check_int("t_sep", t_sep, lo=1)
     universe = frozenset(range(graph.n) if nodes is None else nodes)
     remaining = set(universe)
     r_cap = t_sep * max(1, ceil_log2(max(len(universe), 2)))
@@ -228,9 +227,7 @@ def _check_step_invariants(
 def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
     """Complete clustering plus inter-cluster ledger (see module docstring).
     The clustering's `report` is the tuple of `GrowCutStep`s, one per step."""
-    if t < 1:
-        raise ParameterError("t must be >= 1")
-    n = graph.n
+    t, n = check_int("t", t, lo=1), graph.n
     unclustered = set(range(n))
     parent = [-1] * n
     clustering = Clustering(graph, parent)

@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .clustering import Clustering
 from .congest import Halt
-from .errors import InvariantViolation, ParameterError
+from .errors import InvariantViolation, ParameterError, check_int
 from .graph import Edge, Graph
 
 
@@ -276,8 +276,7 @@ class PartitionReport:
 
 def partitions(graph: Graph, t: int) -> Iterator[Clustering]:
     """partition(graph, t), partition(graph, 2t), ... resumed round by round (see module doc)."""
-    if t < 1:
-        raise ParameterError("t must be >= 1")
+    t = check_int("t", t, lo=1)
     clustering, done, components = Clustering.singletons(graph), 0, graph.components()
     while True:
         rounds = max(t - 1, 0).bit_length()  # ceil(log2 t)

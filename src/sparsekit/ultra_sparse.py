@@ -41,7 +41,7 @@ from typing import Callable
 
 from .baswana_sen import final_pass, initial_state, run_g_iterations
 from .clustering import compose_spanner, contract
-from .errors import InvariantViolation, ParameterError
+from .errors import SEED_RANGE, InvariantViolation, ParameterError, check_int, check_rational
 from .graph import EdgeSet, Graph
 from .rational import ceil_log2, log_factor
 # `partition` is not called here; perfbench's tracer still looks it up by this name.
@@ -81,13 +81,11 @@ def _exact_pow2_chain(alpha: int) -> tuple[bool, bool] | None:
 
 
 def _x_seq_chain(alpha) -> tuple:
-    """(alpha, x, y, z) of the chain as 60-digit mpmath numbers."""
+    """(alpha, x, y, z) of the chain as 60-digit mpmath numbers, for a rational alpha > 4."""
     import mpmath  # imported here: `import sparsekit` need not load it
     with mpmath.workdps(60):
-        a = mpmath.mpf(alpha)
+        a = mpmath.mpf(alpha.numerator) / alpha.denominator
         la = mpmath.log(a, 2)
-        if la <= 2 or mpmath.log(la, 2) <= 1:
-            raise ParameterError("alpha too small for the iterated-log chain")
         y = la / mpmath.log(la, 2)
         ly = mpmath.log(y, 2)
         return a, a / la, y, y * (1 + 2 * mpmath.log(ly, 2) / ly)
@@ -95,10 +93,9 @@ def _x_seq_chain(alpha) -> tuple:
 
 def x_seq_holds(alpha) -> tuple[bool, bool]:
     """(x log x <= alpha, alpha <= y^z), exactly at dyadic boundary cases."""
-    if isinstance(alpha, int):
-        exact = _exact_pow2_chain(alpha)
-        if exact is not None:
-            return exact
+    alpha = check_rational("alpha", alpha, lo=4, open_lo=True)
+    if alpha.denominator == 1 and (exact := _exact_pow2_chain(alpha.numerator)) is not None:
+        return exact
     import mpmath
     a, x, y, z = _x_seq_chain(alpha)
     with mpmath.workdps(60):
@@ -165,8 +162,8 @@ def linear_size_spanner(
     """
     if mode not in ("randomized", "derandomized"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if alpha0 < 4:
-        raise ParameterError("alpha0 must be >= 4")
+    check_rational("alpha0", alpha0, lo=4)  # and read as a float by the log tower
+    seed, iota = check_int("seed", seed, **SEED_RANGE), check_int("iota", iota, lo=1)
     deterministic = mode == "derandomized"
     i_w = 1 if graph.weighted else 0
 
@@ -203,10 +200,10 @@ def linear_size_spanner(
         if deterministic:
             n_i = current.n
             if current.weighted:
-                budget = Fraction(g_i) * iota * n_i / p
+                budget = g_i * iota * n_i / p
             else:
                 ln_g = log_factor(g_i)
-                budget = Fraction(g_i) * n_i + n_i * ln_g / p + Fraction(iota) * n_i * ln_g / p
+                budget = g_i * n_i + n_i * ln_g / p + iota * n_i * ln_g / p
             if len(edges_i) > budget:
                 raise InvariantViolation(
                     f"phase {i}: added {len(edges_i)} edges, budget {budget}"
@@ -265,8 +262,7 @@ def ultra_sparse_spanner(
     result's `report`, an `UltraSparseReport`, carries the certified bound.
     Each doubling of t' resumes the partition with one more merge round.
     """
-    if t < 1:
-        raise ParameterError("t must be >= 1")
+    t = check_int("t", t, lo=1)
     if inner is None:
         inner = lambda g: linear_size_spanner(g, mode="derandomized")  # noqa: E731
     n = graph.n

@@ -50,7 +50,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .clustering import Clustering, require_same_graph
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_rational
 from .graph import EdgeSet, Graph
 
 INF = math.inf
@@ -69,7 +69,7 @@ def _adjacency_matrix(n: int, u, v, w):
 
 def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> list[int | float]:
     """Single-source shortest path weights; math.inf for unreachable nodes."""
-    if not 0 <= source < graph.n:
+    if not 0 <= (source := check_int("source", source)) < graph.n:
         raise ParameterError(f"source {source} is not a node of a graph with {graph.n} nodes")
     allowed = None if edge_ids is None else set(edge_ids)
     dist: list[int | float] = [INF] * graph.n
@@ -234,7 +234,7 @@ def verify_stretch(graph: Graph, spanner: EdgeSet, alpha) -> StretchReport:
     other = spanner.graph
     if other is not graph and (other.n, other.edges) != (graph.n, graph.edges):
         raise ParameterError("spanner is not over the given graph")
-    alpha = Fraction(alpha)
+    alpha = check_rational("alpha", alpha, lo=1)
     ratio, worst_edge = measure_stretch(graph, spanner.ids)
     ok = not math.isinf(ratio) and ratio <= alpha
     return StretchReport(ok, alpha, worst_edge, ratio)

@@ -110,7 +110,7 @@ def test_spanner_cmd_at_huge_k(tmp_path, capsys):
         assert main(argv) == code
         assert time.perf_counter() - t0 < 1, algo
     assert EdgeSet.read(g, espath).ids == spanner(g, 1).ids
-    assert capsys.readouterr().err == "error: derandomization needs 0 < p < 1\n"
+    assert capsys.readouterr().err == "error: p must be a rational with 0 < p < 1, got Fraction(1, 1)\n"
 
 
 def test_spanner_simulate_at_large_k(tmp_path, capsys):
@@ -176,6 +176,22 @@ def test_main_returns_error_code_on_bad_input(tmp_path):
         main(["spanner", "-i", "x", "--algo", "nope"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spanner", "--algo", "bs", "--seed", str(2**127)], "seed must be an int with "),
+        (["certificate", "--variant", "large", "--k", "2", "--seed", str(2**127)], "seed must be an int with "),
+        (["spanner", "--algo", "bs", "--simulate", "--max-rounds", "-1"], "max_rounds must be an int with 0 <= "),
+    ],
+)
+def test_out_of_range_parameter_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    gpath = tmp_path / "g.txt"
+    Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], weighted=False).write(gpath)
+    assert main([argv[0], "-i", str(gpath), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: " + message) and err.count("\n") == 1 and not out
+
+
 @pytest.mark.parametrize("variant", ["small", "large"])
 def test_certificate_cmd_on_empty_graph(tmp_path, variant):
     gpath = tmp_path / "g.txt"
@@ -212,7 +228,8 @@ def test_certificate_non_finite_eps_exits_2(tmp_path, capsys, variant, eps):
     gpath = tmp_path / "g.txt"
     Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], weighted=False).write(gpath)
     assert main(["certificate", "-i", str(gpath), "--k", "2", "--eps", eps, "--variant", variant]) == 2
-    assert "eps must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must be a rational with 0 < eps") and err.endswith(f", got {eps}\n")
 
 
 DEGENERATE_CERTIFICATE_INPUTS = {

@@ -34,6 +34,15 @@ def test_validation_errors():
         Graph(3, [(0, 1, 10**30)])  # above the poly(n) cap
     with pytest.raises(InvalidGraphError):
         Graph(3, [(0, 1, 2)], weighted=False)  # unweighted with weight != 1
+    # check_int's rule, as for every scalar parameter: bool is not an int
+    for n, edges in (
+        (2.5, []), (None, []), (True, []), (2, [(0.0, 1)]), (2, [(0, "1")]),
+        (2, [(0, 1, 1, 1)]), (2, [(0,)]), (2, [5]),  # neither (u, v) nor (u, v, w)
+        (2, [(0, 1, True)]),  # would write `0 1 True`, which from_text rejects
+        (2, [(0, 1, 2.0)]),
+    ):
+        with pytest.raises(InvalidGraphError):
+            Graph(n, edges)
 
 
 def test_weight_cap_configurable():
