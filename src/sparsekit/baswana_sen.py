@@ -254,17 +254,17 @@ def random_samples(state: BSState, p: Fraction, seed: int, salt: bytes = _COIN_S
     )
 
 
-def _schedule(n: int, k: int, deterministic: bool = False) -> tuple[Fraction, int]:
+def _schedule(n: int, k: int) -> tuple[Fraction, int]:
     """The sampling probability p of a k-iteration run on n nodes, and its
     number g of sampled iterations before the final pass.
 
     g = k - 1, except that the final pass alone does the work when p = 0
-    (k = 1 or n <= 1), and when p = 1 for seeded coins: every cluster is
-    then sampled, so an iteration changes nothing.  Bit fixing rejects
-    p = 1 itself.
+    (k = 1 or n <= 1) or p = 1: every cluster is then sampled, so an
+    iteration changes nothing.  Seeded coins, bit fixing and the simulator
+    share this rule.
     """
     p = sampling_probability(n, k) if k >= 2 and n >= 2 else Fraction(0)
-    return p, k - 1 if p and (p < 1 or deterministic) else 0
+    return p, k - 1 if 0 < p < 1 else 0
 
 
 def run_iterations(
@@ -311,7 +311,7 @@ def final_pass(state: BSState) -> BSState:
 def _spanner(graph: Graph, k: int, seed: int = 0, *, deterministic: bool = False, **sampler) -> EdgeSet:
     """The sampled iterations of `_schedule(n, k)`, then the final pass."""
     k, seed = check_int("k", k, lo=1), check_int("seed", seed, **SEED_RANGE)
-    p, g = _schedule(graph.n, k, deterministic)
+    p, g = _schedule(graph.n, k)
     state = run_iterations(initial_state(graph), g, p, seed, deterministic=deterministic, **sampler)
     return EdgeSet(graph, final_pass(state).spanner)
 

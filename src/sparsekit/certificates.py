@@ -43,16 +43,6 @@ CUT_ENUM_LIMIT = 18
 CUT_BLOCK = 1 << 12  # cuts per enumeration block: CUT_BLOCK x m booleans at a time
 
 
-def _ends(graph: Graph, edge_ids) -> np.ndarray:
-    return np.array([graph.edges[i][1:3] for i in edge_ids], dtype=np.intp).reshape(-1, 2).T
-
-
-def _unit_capacity(graph: Graph, edge_ids) -> csr_matrix:
-    """Symmetric CSR with capacity 1 on both arcs of every given edge."""
-    u, v = _ends(graph, edge_ids)
-    return csr_matrix((np.ones(2 * len(u), dtype=np.int32), (np.r_[u, v], np.r_[v, u])), shape=(graph.n,) * 2)
-
-
 def _min_cut(cap: csr_matrix, s: int, t: int) -> tuple[int, np.ndarray]:
     """Max s-t flow and the source side of a minimum cut: the nodes s reaches
     over arcs carrying less than 1 unit (cap is symmetric: every arc has capacity 1)."""
@@ -87,7 +77,7 @@ def edge_connectivity(graph: Graph, edge_ids: Iterable[int] | None = None) -> in
     """
     if graph.n <= 1:
         return math.inf
-    cap = _unit_capacity(graph, range(graph.m) if edge_ids is None else sorted(edge_ids))
+    cap = graph.matrix(None if edge_ids is None else sorted(edge_ids), np.int32(1))  # unit capacities
     dominated, flows = np.zeros(graph.n, dtype=bool), [int(np.diff(cap.indptr).min())]
     for v in range(graph.n):  # greedy D: node 0 (no flow), then each node D does not reach
         if not dominated[v]:
@@ -142,11 +132,12 @@ def _edge_part(seed: int, eid: int, q: int) -> int:
 
 
 def karger_parts(graph: Graph, q: int, seed: int) -> list[list[int]]:
-    """Uniform random split of the edge set into q parts, derived from seed."""
-    parts: list[list[int]] = [[] for _ in range(q)]
+    """Uniform random split of the edge set into q parts, derived from seed;
+    returns the nonempty parts in part order (an empty part adds no edge)."""
+    parts: dict[int, list[int]] = {}
     for eid in range(graph.m):
-        parts[_edge_part(seed, eid, q)].append(eid)
-    return parts
+        parts.setdefault(_edge_part(seed, eid, q), []).append(eid)
+    return [parts[i] for i in sorted(parts)]
 
 
 def certificate_large_k(
@@ -195,7 +186,7 @@ def _cut_blocks(graph: Graph, ids: list[int]):
     """(first mask, crossing matrix over the columns ids) per block of cuts.
     Masks run from 1 to 2^(n-1)-1; bit i-1 puts node i opposite node 0."""
     n = max(graph.n, 1)  # no node, like one node, has no proper cut
-    u, v = _ends(graph, ids)
+    u, v = graph.arrays.ends[ids].T
     for lo in range(1, 1 << (n - 1), CUT_BLOCK):
         masks = np.arange(lo, min(lo + CUT_BLOCK, 1 << (n - 1)), dtype=np.uint32) << 1
         sides = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
@@ -230,15 +221,16 @@ def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport
                 detail = {"cut_mask": lo + i, "cut_size": int(cut_g[i]), "kept": int(cut_h[i])}
                 return CertificateReport(False, "cuts", k, detail)
         return CertificateReport(True, "cuts", k, {"cuts_checked": (1 << max(graph.n - 1, 0)) - 1})
-    cap = _unit_capacity(graph, kept)
+    cap = graph.matrix(kept, np.int32(1))
     parent, flow = _gomory_hu(cap)
     strong = np.flatnonzero(flow >= k_cut)  # never the root: flow[0] = 0 < k
     tree = csr_matrix((np.ones(len(strong)), (strong, parent[strong])), shape=cap.shape)
     label = csgraph.connected_components(tree, directed=False)[1]
-    bad = np.flatnonzero(np.not_equal(*label[_ends(graph, omitted)]))
+    u, v = graph.arrays.ends.T
+    bad = np.flatnonzero(label[u[omitted]] != label[v[omitted]])
     detail = {"lambda_g": edge_connectivity(graph), "lambda_h": int(flow[1:].min())}
     if len(bad):
         e = graph.edges[omitted[bad[0]]]
         lam, side = _min_cut(cap, e.u, e.v)
-        detail.update(edge=e.id, lambda_uv=lam, cut_size=int(sum(side[x.u] != side[x.v] for x in graph.edges)))
+        detail.update(edge=e.id, lambda_uv=lam, cut_size=int(np.count_nonzero(side[u] != side[v])))
     return CertificateReport(not len(bad), "mincut", k, detail)

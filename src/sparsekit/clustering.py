@@ -16,6 +16,8 @@ against the graph and derives the rest from it in one walk.  The
 Baswana-Sen iterations, the stretch-friendly rounds and the LDC carve
 each build a new one per step; contraction and the stretch-friendly
 oracle read it once they have checked that it was built on their graph.
+Contraction keeps, per cluster pair, the first edge in (weight, id)
+order by the graph's one first-edge-per-key kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from .errors import InvalidClusteringError
-from .graph import EdgeSet, Graph
+from .graph import EdgeSet, Graph, first_per_key
 
 
 def require_same_graph(graph: Graph, expected: Graph, message: str) -> None:
@@ -165,20 +169,16 @@ def contract(graph: Graph, clustering: Clustering) -> ClusterGraph:
     when it was built and cannot have changed since.
     """
     require_same_graph(graph, clustering.graph, "clustering was built on another graph")
-    best: dict[tuple[int, int], int] = {}  # (cid_lo, cid_hi) -> base edge id
-    label = clustering.label
-    for e in graph.edges:
-        cu, cv = label[e.u], label[e.v]
-        if cu == cv or cu == -1 or cv == -1:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        cur = best.get(key)
-        if cur is None or (e.w, e.id) < (graph.edges[cur].w, cur):
-            best[key] = e.id
-    pairs = sorted(best.items())
-    edges = [(a, b, graph.edges[eid].w) for (a, b), eid in pairs]
+    ends, w, order = graph.arrays
+    label, base = np.array(clustering.label, np.int64), max(len(clustering.clusters), 1)
+    cu, cv = label[ends[order]].T
+    cross = (cu != cv) & (cu != -1) & (cv != -1)
+    keys, first = first_per_key(np.minimum(cu, cv)[cross] * base + np.maximum(cu, cv)[cross])
+    witness = order[cross][first].tolist()  # the minimum (w, id) edge per cluster pair
+    lo, hi = np.divmod(keys, base)
+    edges = zip(lo.tolist(), hi.tolist(), [w[eid] for eid in witness])
     cg = Graph(len(clustering.clusters), edges, weighted=graph.weighted, weight_cap=graph.weight_cap)
-    return ClusterGraph(clustering, cg, tuple(eid for _, eid in pairs))
+    return ClusterGraph(clustering, cg, tuple(witness))
 
 
 def compose_spanner(cg: ClusterGraph, cluster_spanner: EdgeSet) -> EdgeSet:

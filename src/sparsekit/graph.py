@@ -7,6 +7,11 @@ nonnegative integer weights bounded by a configurable polynomial cap.
 `Graph.bfs` is the one hop traversal: multi-source, level by level,
 optionally restricted to a node set, an edge-id set and a depth.
 
+`Graph.arrays` is the one array form of the edge list, built on first
+use and read-only; `Graph.matrix` builds every symmetric sparse matrix
+of the edges.  Every "first edge per key" choice lists its candidate
+edges in a fixed order and keeps the first per key with `first_per_key`.
+
 Text format (one graph per file)::
 
     n m weighted|unweighted
@@ -18,7 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Container, Iterable, Iterator, NamedTuple
+from typing import Any, Container, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InvalidGraphError, ParameterError, check_int
 
@@ -45,10 +53,27 @@ class Edge(NamedTuple):
         raise ValueError(f"node {x} is not an endpoint of edge {self.id}")
 
 
+class EdgeArrays(NamedTuple):
+    """Edges by id: int64 ends (row i = u, v), exact weights (beyond int64 too); ids in (w, id) order."""
+
+    ends: np.ndarray
+    w: tuple[int, ...]
+    by_weight: np.ndarray
+
+
+def first_per_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the position of each one's first
+    occurrence in `keys`: with candidates in a fixed order, the first per key."""
+    perm = np.argsort(keys)  # unstable, so a key's first position is the least in its run
+    run = keys[perm]
+    starts = np.flatnonzero(np.diff(run, prepend=run[:1] - 1))
+    return run[starts], np.minimum.reduceat(perm, starts)
+
+
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "weighted", "weight_cap", "adj", "_pair_index")
+    __slots__ = ("n", "edges", "weighted", "weight_cap", "adj", "_pair_index", "_arrays")
 
     def __init__(
         self,
@@ -93,6 +118,7 @@ class Graph:
         self.edges: tuple[Edge, ...] = tuple(built)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self._pair_index = pair_index
+        self._arrays: EdgeArrays | None = None  # built on first use
 
     # -- basic accessors ------------------------------------------------
 
@@ -118,6 +144,24 @@ class Graph:
         return self._pair_index.get(key)
 
     # -- derived structure ----------------------------------------------
+
+    @property
+    def arrays(self) -> EdgeArrays:
+        """The edges as arrays, built once; every caller shares them, so they are read-only."""
+        if self._arrays is None:
+            _, u, v, w = zip(*self.edges) if self.edges else ((),) * 4
+            ends = np.array([u, v], np.int64).T.copy()
+            order = np.array(sorted(range(self.m), key=w.__getitem__), np.int64)  # stable: (w, id), exact
+            ends.flags.writeable = order.flags.writeable = False
+            self._arrays = EdgeArrays(ends, w, order)
+        return self._arrays
+
+    def matrix(self, edge_ids: Sequence[int] | None, values) -> csr_matrix:
+        """The symmetric n x n CSR matrix with values[i], or a scalar, on both
+        arcs of the i-th edge of `edge_ids` (None: every edge)."""
+        u, v = self.arrays.ends[slice(None) if edge_ids is None else np.asarray(edge_ids, np.int64)].T
+        data = np.broadcast_to(values, u.shape)
+        return csr_matrix((np.r_[data, data], (np.r_[u, v], np.r_[v, u])), shape=(self.n, self.n))
 
     def bfs(
         self,
@@ -170,28 +214,8 @@ class Graph:
         new graph plus the map new_edge_id -> original_edge_id.
         """
         keep = sorted(set(edge_ids))
-        sub = Graph(
-            self.n,
-            [(self.edges[i].u, self.edges[i].v, self.edges[i].w) for i in keep],
-            weighted=self.weighted,
-            weight_cap=self.weight_cap,
-        )
+        sub = Graph(self.n, [self.edges[i][1:] for i in keep], weighted=self.weighted, weight_cap=self.weight_cap)
         return sub, tuple(keep)
-
-    def max_weight(self) -> int:
-        return max((e.w for e in self.edges), default=0)
-
-    def to_networkx(self, edge_ids: Iterable[int] | None = None):
-        """Export to networkx (only the tests use it; networkx is a test dependency)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        ids = range(self.m) if edge_ids is None else edge_ids
-        for eid in ids:
-            e = self.edges[eid]
-            g.add_edge(e.u, e.v, weight=e.w, id=eid)
-        return g
 
     # -- text format ------------------------------------------------------
 

@@ -40,24 +40,32 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
-from scipy.sparse import csr_matrix
+import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .clustering import Clustering
 from .errors import InvalidClusteringError, InvariantViolation, ParameterError, check_int
-from .graph import EdgeSet, Graph
+from .graph import EdgeSet, Graph, first_per_key
 from .rational import ceil_log2
+
+
+def _first_arcs(graph: Graph, tails: Iterable[int], group: Mapping[int, int]):
+    """(x, g, arc) by ascending (x, g), for each x in `tails` and each group g
+    (`group`: node -> g) next to x: the first arc x -> g, arc 2i (2i + 1) being edge i from u (v)."""
+    n, ends = graph.n, graph.arrays.ends
+    of, out = np.full(n, -1, np.int64), np.zeros(n, bool)
+    of[list(group)], out[list(tails)] = list(group.values()), True
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    arcs = np.flatnonzero(out[tail] & (of[head] != -1))
+    keys, first = first_per_key(tail[arcs] * n + of[head[arcs]])
+    return keys // n, keys % n, arcs[first]
 
 
 def _induced_diameter(graph: Graph, members: frozenset[int]) -> int:
     """Exact hop diameter of graph[members]: all-sources BFS in scipy,
     256 sources at a time, so memory stays at 256 * |members| floats."""
-    index = {v: i for i, v in enumerate(sorted(members))}
-    k = len(index)
-    pairs = [(i, index[y]) for v, i in index.items() for _, y, _ in graph.neighbors(v) if y in index]
-    rows, cols = zip(*pairs) if pairs else ((), ())
-    csr = csr_matrix(([1] * len(pairs), (rows, cols)), shape=(k, k))
-    best = 0
+    index = sorted(members)
+    csr, k, best = graph.matrix(None, 1)[index][:, index], len(index), 0  # graph[members]
     for lo in range(0, k, 256):
         far = shortest_path(csr, directed=False, unweighted=True, indices=range(lo, min(lo + 256, k))).max()
         if math.isinf(far):
@@ -207,21 +215,19 @@ def _check_step_invariants(
     # (3) ledger size against covered mass
     if len(set(ledger_witness.values())) * t > clustering.covered():
         raise InvariantViolation("invariant 3: ledger larger than covered/t")
-    # (4) every neighboring cluster pair bridged, (5) unclustered witnesses
+    # (4) every neighboring cluster pair bridged, (5) unclustered witnesses;
+    # each names the first offending edge in id order, (4) first on one edge
     label, roots = clustering.label, [c.root for c in clustering.clusters]
-    bridged: set[tuple[int, int]] = set()
-    for eid in ledger_witness.values():
-        cu, cv = label[graph.edges[eid].u], label[graph.edges[eid].v]
-        if cu != -1 and cv != -1 and cu != cv:
-            bridged.add((min(cu, cv), max(cu, cv)))
-    for e in graph.edges:
-        cu, cv = label[e.u], label[e.v]
-        if cu != -1 and cv != -1 and cu != cv:
-            if (min(cu, cv), max(cu, cv)) not in bridged:
-                raise InvariantViolation(f"invariant 4: clusters {cu},{cv} not bridged")
-        for x, cx in ((e.u, cv), (e.v, cu)):
-            if x in unclustered and cx != -1 and (x, roots[cx]) not in ledger_witness:
-                raise InvariantViolation(f"invariant 5: no witness for node {x}, cluster {cx}")
+    lu, lv = np.array(label, np.int64)[graph.arrays.ends].T
+    pair = np.where((lu != -1) & (lv != -1) & (lu != lv), np.minimum(lu, lv) * graph.n + np.maximum(lu, lv), -1)
+    bad4 = np.flatnonzero((pair != -1) & ~np.isin(pair, pair[list(ledger_witness.values())]))
+    x, r, arc = _first_arcs(graph, unclustered, {y: roots[c] for y, c in enumerate(label) if c != -1})
+    bad5 = [i for i, key in enumerate(zip(x.tolist(), r.tolist())) if key not in ledger_witness]
+    i5 = min(bad5, key=arc.__getitem__, default=None)
+    if len(bad4) and (i5 is None or bad4[0] <= arc[i5] // 2):
+        raise InvariantViolation(f"invariant 4: clusters {lu[bad4[0]]},{lv[bad4[0]]} not bridged")
+    if i5 is not None:
+        raise InvariantViolation(f"invariant 5: no witness for node {x[i5]}, cluster {label[r[i5]]}")
 
 
 def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
@@ -272,15 +278,9 @@ def grow_and_cut(graph: Graph, t: int) -> tuple[Clustering, InterEdgeLedger]:
             new_root.update(dict.fromkeys(members, root))
             _bfs_tree(graph, root, members, tree_dist, parent)
         clustering = Clustering(graph, parent)
-        # Bridge edges: one per (still-outside node of G_i, new cluster).
-        best: dict[tuple[int, int], int] = {}
-        for e in graph.edges:
-            for v, u in ((e.u, e.v), (e.v, e.u)):
-                if v in vi and v not in new_root and u in new_root:
-                    key = (v, new_root[u])
-                    if key not in best or e.id < best[key]:
-                        best[key] = e.id
-        witness.update(best)
+        # Bridge edges: the smallest id per (still-outside node of G_i, new cluster).
+        x, root, arc = _first_arcs(graph, vi - new_root.keys(), new_root)
+        witness.update(zip(zip(x.tolist(), root.tolist()), (arc // 2).tolist()))
         unclustered -= set(new_root)
         if unclustered and 10 * len(unclustered) > 7 * len(vi):
             raise InvariantViolation(
@@ -310,7 +310,7 @@ def ldc_sparse_spanner(graph: Graph, t: int) -> EdgeSet:
     certified a posteriori by the callers via verify_stretch against
     2*(D(n,10t) + 10t) + 1.
     """
-    if graph.m and any(e.w != graph.edges[0].w for e in graph.edges):
+    if graph.m and min(graph.arrays.w) != max(graph.arrays.w):
         raise ParameterError("hop-metric spanner needs uniform edge weights")
     clustering, ledger = grow_and_cut(graph, t)
     ids = set(clustering.all_tree_edges()) | set(ledger.edges)
@@ -423,17 +423,11 @@ def weak_diameter_spanner(
             ids.update(wc.tree_edges)
             max_diam = max(max_diam, _tree_diameter(graph, wc))
         size_budget += sum(len(wc.tree_nodes) for wc in cs) + len(alive)
-        for v in sorted(alive - set(member)):
-            touched: dict[int, int] = {}
-            for eid in graph.adj[v]:
-                u = graph.edges[eid].other(v)
-                if u in member:
-                    cid = member[u]
-                    if cid not in touched or eid < touched[cid]:
-                        touched[cid] = eid
-            if len(touched) > 1:
-                raise InvariantViolation("node neighbors two 3-separated clusters")
-            ids.update(touched.values())
+        # one edge, the smallest id, per (unclustered node, neighboring cluster)
+        x, _, arc = _first_arcs(graph, alive - member.keys(), member)
+        if np.any(np.diff(x) == 0):
+            raise InvariantViolation("node neighbors two 3-separated clusters")
+        ids.update((arc // 2).tolist())
         alive = frozenset(alive - set(member))
     if len(ids) > size_budget:
         raise InvariantViolation("spanner exceeded its overlap budget")

@@ -35,10 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .clustering import Clustering
 from .congest import Halt
 from .errors import InvariantViolation, ParameterError, check_int
-from .graph import Edge, Graph
+from .graph import Graph, first_per_key
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +171,15 @@ class Color3Program:
 def orient(graph: Graph, label: Sequence[int], count: int) -> list[tuple[int, int] | None]:
     """Each cluster's minimum (w, id) boundary edge as (edge id, target
     cluster), or None without one; `label` maps node -> cluster index."""
-    best: list[Edge | None] = [None] * count
-    for e in graph.edges:  # ascending id, so a strictly lighter edge is needed to replace
-        cu, cv = label[e.u], label[e.v]
-        if cu != cv:
-            if best[cu] is None or e.w < best[cu].w:
-                best[cu] = e
-            if best[cv] is None or e.w < best[cv].w:
-                best[cv] = e
-    return [
-        None if e is None else (e.id, label[e.v] if label[e.u] == idx else label[e.u])
-        for idx, e in enumerate(best)
-    ]
+    ends, _, order = graph.arrays
+    pairs = np.array(label, np.int64)[ends[order]]  # the clusters of both ends, in (w, id) order
+    cross = pairs[:, 0] != pairs[:, 1]
+    pairs, eids = pairs[cross], order[cross]
+    # candidate 2r + s: boundary edge r from its end s's cluster, so (w, id) order holds
+    keys, first = first_per_key(pairs.ravel())
+    rows = first // 2
+    best = dict(zip(keys.tolist(), zip(eids[rows].tolist(), pairs[rows, 1 - first % 2].tolist())))
+    return [best.get(c) for c in range(count)]
 
 
 def match_small(out: list[tuple[int, int] | None], small: list[bool], roots: list[int]) -> dict[int, int]:

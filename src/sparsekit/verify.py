@@ -46,7 +46,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .clustering import Clustering, require_same_graph
@@ -59,12 +58,7 @@ INF = math.inf
 def _exact_float_ok(graph: Graph) -> bool:
     # Longest possible path weight must stay below 2**53 for float64 sums
     # of integers to be exact.
-    return graph.n * max(graph.max_weight(), 1) < 2**53
-
-
-def _adjacency_matrix(n: int, u, v, w):
-    """The symmetric CSR matrix of the edges with ends `u`, `v` and weights `w`."""
-    return csr_matrix((np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
+    return graph.n * max(1, max(graph.arrays.w, default=0)) < 2**53
 
 
 def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> list[int | float]:
@@ -96,13 +90,9 @@ def apsp(graph: Graph, edge_ids: Iterable[int] | None = None) -> list[list[int |
     if graph.n == 0:
         return []
     if _exact_float_ok(graph):
-        ids = range(graph.m) if edge_ids is None else edge_ids
-        ends = np.array([graph.edges[i][1:] for i in ids], np.int64).reshape(-1, 3).T
-        d = _sp_dijkstra(_adjacency_matrix(graph.n, *ends))
-        out: list[list[int | float]] = []
-        for row in d:
-            out.append([INF if math.isinf(x) else int(x) for x in row])
-        return out
+        ids = np.arange(graph.m) if edge_ids is None else np.fromiter(edge_ids, np.int64)
+        rows = _sp_dijkstra(graph.matrix(ids, np.array(graph.arrays.w, np.int64)[ids]))
+        return [[INF if math.isinf(x) else int(x) for x in row] for row in rows]
     return [sssp(graph, s, edge_ids) for s in range(graph.n)]
 
 
@@ -174,7 +164,7 @@ def _peel(graph: Graph, w: Sequence[int], eid, u, v, peel: bool):
     core = np.array(deg) > 0
     inside = core[u] & core[v]
     if _exact_float_ok(graph):
-        mat = _adjacency_matrix(n, u[inside], v[inside], np.array(w, np.float64)[eid[inside]])
+        mat = graph.matrix(eid[inside], np.array(w, np.float64)[eid[inside]])
 
         def rows(sources, limit=INF):
             return _sp_dijkstra(mat, indices=sources, limit=limit)
@@ -192,8 +182,7 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
     ids = frozenset(sub_edges)
     if graph.m == 0:
         return Fraction(1), None
-    n, (_, us, vs, w) = graph.n, zip(*graph.edges)
-    uv = np.array([us, vs]).T
+    n, (uv, w, _) = graph.n, graph.arrays
     eid = np.sort(np.fromiter(ids, np.int64, len(ids)))  # kept, in id order
     out = np.setdiff1d(np.arange(graph.m), eid, assume_unique=True)  # omitted, in id order
     parent, hop, att, dep, rows = _peel(graph, w, eid, *uv[eid].T, len(out) > 0)

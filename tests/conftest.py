@@ -25,6 +25,17 @@ def gnp_graph(n: int, p: float, seed: int = 0, *, weighted: bool = False, max_we
     return Graph(n, edges, weighted=weighted)
 
 
+def to_networkx(g: Graph, edge_ids=None):
+    """`g`, or its subgraph on `edge_ids`, as a networkx graph with `weight` and `id` edge attributes."""
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from((g.edges[i].u, g.edges[i].v, {"weight": g.edges[i].w, "id": i})
+                       for i in (range(g.m) if edge_ids is None else edge_ids))
+    return out
+
+
 def connected_gnp(n: int, p: float, seed: int = 0, *, weighted: bool = False, max_weight: int = 50) -> Graph:
     """First connected G(n, p) at or after the given seed."""
     for s in range(seed, seed + 200):

@@ -343,9 +343,9 @@ def test_p0_runs_only_the_final_pass(monkeypatch):
 
 def test_p1_iterations_change_nothing(monkeypatch):
     # At p = 1 every coin comes up 1, so an iteration samples every cluster
-    # and returns its input state one iteration on.  The seeded spanner
-    # therefore runs only the final pass and returns spanner(g, 1), while
-    # bit fixing rejects p = 1.
+    # and returns its input state one iteration on.  The seeded and the
+    # derandomized spanner therefore run only the final pass and return
+    # spanner(g, 1).
     from sparsekit import baswana_sen
 
     g = gnp_graph(20, 0.3, seed=7, weighted=True)
@@ -372,8 +372,8 @@ def test_p1_iterations_change_nothing(monkeypatch):
     assert sampling_probability(g.n, k) == 1
     assert spanner(g, k, seed=3).ids == spanner(g, 1).ids
     assert len(calls) == 2
-    with pytest.raises(ParameterError, match="0 < p < 1"):
-        deterministic_spanner(g, k)
+    assert deterministic_spanner(g, k).ids == spanner(g, 1).ids
+    assert len(calls) == 4
 
 
 def test_run_iteration_leaves_its_input_forest_alone():

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from sparsekit.errors import ParameterError
 from sparsekit.generate import k_connected_random
 from sparsekit.graph import EdgeSet, Graph
 
-from conftest import SUBPROCESS_ENV, complete_graph, connected_gnp, cycle_graph, gnp_graph
+from conftest import SUBPROCESS_ENV, complete_graph, connected_gnp, cycle_graph, gnp_graph, to_networkx
 
 
 def test_edge_connectivity_basics():
@@ -216,7 +217,7 @@ def test_gomory_hu_branch_catches_k10_path_tail():
     assert not rep.ok and rep.mode == "mincut"
     assert rep.detail == {"lambda_g": 1, "lambda_h": 1, "edge": 9, "lambda_uv": 1, "cut_size": 9}
     assert g.edges[9][1:3] == (1, 2)  # the first omitted edge; its minimum cut isolates node 1
-    parent, flow = certificates._gomory_hu(certificates._unit_capacity(g, sorted(cert.ids)))
+    parent, flow = certificates._gomory_hu(g.matrix(sorted(cert.ids), np.int32(1)))
     assert sorted(flow[1:]) == [1] * 21
 
 
@@ -257,7 +258,7 @@ def test_gomory_hu_branch_agrees_with_cut_enumeration(case):
     exhaustive = verify_certificate(g, cert, k)
     assert rep.mode == "mincut" and exhaustive.mode == "cuts"
     assert rep.ok == exhaustive.ok
-    h = g.to_networkx(cert.ids)
+    h = to_networkx(g, cert.ids)
     weak = [e for e in range(g.m) if e not in cert.ids and _local_connectivity(h, *g.edges[e][1:3]) < k]
     assert rep.ok == (not weak)
     assert rep.detail["lambda_g"] == edge_connectivity(g)
@@ -273,8 +274,8 @@ def test_gomory_hu_branch_agrees_with_cut_enumeration(case):
 @given(graph_and_subgraph())
 def test_gomory_hu_tree_cuts_and_path_minima(case):
     g, cert, _ = case
-    parent, flow = certificates._gomory_hu(certificates._unit_capacity(g, sorted(cert.ids)))
-    h = g.to_networkx(cert.ids)
+    parent, flow = certificates._gomory_hu(g.matrix(sorted(cert.ids), np.int32(1)))
+    h = to_networkx(g, cert.ids)
     tree = nx.Graph((s, int(parent[s]), {"w": int(flow[s])}) for s in range(1, g.n))
     assert nx.is_tree(tree) and tree.number_of_nodes() == g.n
     for s in range(1, g.n):  # the subtree below s is a minimum cut of weight flow[s]
@@ -291,7 +292,7 @@ def test_gomory_hu_tree_cuts_and_path_minima(case):
 @given(graph_and_subgraph(max_n=14))
 def test_edge_connectivity_matches_stoer_wagner(case):
     g, _, _ = case
-    nxg = g.to_networkx()
+    nxg = to_networkx(g)
     expected = nx.stoer_wagner(nxg)[0] if nx.is_connected(nxg) else 0
     assert edge_connectivity(g) == expected
 

@@ -7,6 +7,7 @@ import pytest
 from sparsekit.clustering import Cluster, Clustering, compose_spanner, contract
 from sparsekit.errors import InvalidClusteringError
 from sparsekit.graph import EdgeSet, Graph
+from sparsekit.stretch_friendly import orient
 from sparsekit.verify import verify_stretch
 
 from conftest import cycle_graph, gnp_graph, path_graph
@@ -60,6 +61,52 @@ def test_contract_tie_break_smallest_edge_id():
     cl = two_node_clusters(g, [(0, 1), (2, 3)])
     cg = contract(g, cl)
     assert cg.witness == (2,)
+
+
+def random_partition(g: Graph, seed: int) -> Clustering:
+    """Singletons, with random nodes hung as leaves below a neighbor."""
+    rng = random.Random(seed)
+    parent, inner = list(range(g.n)), set()
+    for v in rng.sample(range(g.n), g.n):
+        if v not in inner and parent[v] == v and g.adj[v] and rng.random() < 0.6:
+            parent[v] = g.edges[rng.choice(g.adj[v])].other(v)
+            inner.add(parent[v])
+    return Clustering(g, parent)
+
+
+def huge_weight_graph() -> Graph:
+    # 10**30 + d for d in 0..3: beyond int64, and equal as float64 values;
+    # node 16 is isolated, so its cluster has no boundary edge
+    rng = random.Random(4)
+    return Graph(17, [(e.u, e.v, 10**30 + rng.randint(0, 3)) for e in gnp_graph(16, 0.5, seed=4).edges],
+                 weight_cap=10**40)
+
+
+@pytest.mark.parametrize("g", [gnp_graph(16, 0.5, seed=4, weighted=True, max_weight=3), huge_weight_graph()],
+                         ids=["small-weights", "huge-weights"])
+def test_contract_and_orient_take_the_minimum_weight_then_id(g):
+    # Brute force: the minimum (w, id) edge per cluster pair is the
+    # contraction's witness, and per cluster the oriented boundary edge.
+    lightest = lambda edges: min(edges, key=lambda e: (e.w, e.id))  # noqa: E731
+    for seed in range(4):
+        cl = random_partition(g, seed)
+        label = cl.label
+        between: dict[frozenset[int], list] = {}
+        for e in g.edges:
+            if label[e.u] != label[e.v]:
+                between.setdefault(frozenset((label[e.u], label[e.v])), []).append(e)
+        cg = contract(g, cl)
+        assert {frozenset((e.u, e.v)): cg.witness[e.id] for e in cg.graph.edges} == {
+            pair: lightest(es).id for pair, es in between.items()
+        }
+        expected = []
+        for c in range(len(cl)):
+            boundary = [e for es in between.values() for e in es if c in (label[e.u], label[e.v])]
+            f = lightest(boundary) if boundary else None
+            expected.append(f and (f.id, label[f.v] if label[f.u] == c else label[f.u]))
+        assert orient(g, label, len(cl)) == expected
+        if g.weight_cap > 2**63:  # the input tells (w, id) from id order among float-equal weights
+            assert any(lightest(es).id != es[0].id for es in between.values())
 
 
 PATH3 = Graph(4, [(0, 1, 1), (1, 2, 1)])  # the path 0-1-2 plus the isolated node 3

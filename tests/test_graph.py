@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,29 @@ def test_validation_errors():
 def test_weight_cap_configurable():
     g = Graph(3, [(0, 1, 10**30)], weight_cap=10**40)
     assert g.edge(0).w == 10**30
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gnp_graph(12, 0.4, seed=2, weighted=True, max_weight=4), Graph(4, [(2, 3, 10**30), (0, 1, 7)], weight_cap=10**40),
+     Graph(3, [])],
+    ids=["gnp", "huge-weights", "no-edges"],
+)
+def test_edge_arrays_match_the_edges_and_are_read_only(g):
+    # Every caller shares one cache, so a write in place would corrupt all later calls.
+    a = g.arrays
+    assert a is g.arrays  # built once
+    assert a.ends.dtype == a.by_weight.dtype == np.int64 and a.ends.shape == (g.m, 2)
+    assert a.ends.tolist() == [[e.u, e.v] for e in g.edges]
+    assert a.w == tuple(e.w for e in g.edges)
+    assert a.by_weight.tolist() == [e.id for e in sorted(g.edges, key=lambda e: (e.w, e.id))]
+    for column in (a.ends, a.by_weight):
+        with pytest.raises(ValueError, match="read-only"):
+            column[:1] = 0
+    with pytest.raises(TypeError):
+        a.w[0] = 0  # type: ignore[index]
+    adj = g.matrix(None, 1).toarray()
+    assert adj.tolist() == [[int(g.edge_between(x, y) is not None) for y in range(g.n)] for x in range(g.n)]
 
 
 def test_text_roundtrip_weighted_and_unweighted(tmp_path):

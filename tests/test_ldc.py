@@ -22,7 +22,7 @@ from sparsekit.ldc import (
 )
 from sparsekit.verify import measure_stretch
 
-from conftest import complete_graph, connected_gnp, cycle_graph, gnp_graph, grid_graph, path_graph
+from conftest import complete_graph, connected_gnp, cycle_graph, gnp_graph, grid_graph, path_graph, to_networkx
 
 
 # -- carve_clustering ---------------------------------------------------------
@@ -155,7 +155,7 @@ def test_carve_diameters_are_exact(rng):
     for trial in range(12):
         n = rng.randint(8, 90)
         g = gnp_graph(n, rng.choice([0.05, 0.12, 0.3]), seed=1500 + trial)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         for t in (1, 2, 4):
             sc = carve_clustering(g, t)
             for c, d in zip(sc.clustering.clusters, sc.diameters):
@@ -175,7 +175,7 @@ def middle_ended_path(n: int) -> Graph:
 def test_induced_diameter_across_source_chunks(g):
     # More than 256 members.  Only the ends of the path (both in the middle
     # chunk of sources) reach the diameter, so every chunk must count.
-    assert ldc._induced_diameter(g, frozenset(range(g.n))) == nx.diameter(g.to_networkx())
+    assert ldc._induced_diameter(g, frozenset(range(g.n))) == nx.diameter(to_networkx(g))
 
 
 def test_induced_diameter_single_node_and_disconnected():
@@ -217,7 +217,7 @@ def test_root_eccentricity_certificate_holds(rng, monkeypatch, exact_calls):
     for trial in range(8):
         n = rng.randint(30, 140)
         g = gnp_graph(n, rng.choice([0.03, 0.08, 0.2]), seed=1700 + trial)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         for t in (1, 2, 4):
             exact_calls.clear()
             carved.clear()

@@ -94,7 +94,6 @@ CALLS = {
 # Valid values whose run is legitimately too expensive for a unit test.
 SKIPS = {
     ("run_g_iterations.g", BIG): "2^127 sampled iterations",
-    ("certificate_large_k.k", BIG): "k = 2^127 splits the edges into about 2^120 parts",
     ("gnp.n", BIG): "a graph on 2^127 nodes",
     ("cycle.n", BIG): "a graph on 2^127 nodes",
     ("grid.rows", BIG): "a graph on 3 * 2^127 nodes",
