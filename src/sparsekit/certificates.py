@@ -34,7 +34,8 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import SEED_RANGE, InvariantViolation, ParameterError, check_int, check_rational
+from .clustering import require_same_graph
+from .errors import SEED_RANGE, InvariantViolation, ParameterError, check_edge_ids, check_int, check_rational
 from .graph import EdgeSet, Graph
 from .rational import rat_ln_upper
 from .ultra_sparse import ultra_sparse_spanner
@@ -75,9 +76,9 @@ def edge_connectivity(graph: Graph, edge_ids: Iterable[int] | None = None) -> in
     The least of the minimum degree and the max flows from node 0 to a greedy dominating
     set D (Matula 1987: if lambda < min degree, D meets both sides of a minimum cut).
     """
+    cap = graph.matrix(None if edge_ids is None else check_edge_ids(graph, edge_ids), np.int32(1))  # unit capacities
     if graph.n <= 1:
         return math.inf
-    cap = graph.matrix(None if edge_ids is None else sorted(edge_ids), np.int32(1))  # unit capacities
     dominated, flows = np.zeros(graph.n, dtype=bool), [int(np.diff(cap.indptr).min())]
     for v in range(graph.n):  # greedy D: node 0 (no flow), then each node D does not reach
         if not dominated[v]:
@@ -134,6 +135,7 @@ def _edge_part(seed: int, eid: int, q: int) -> int:
 def karger_parts(graph: Graph, q: int, seed: int) -> list[list[int]]:
     """Uniform random split of the edge set into q parts, derived from seed;
     returns the nonempty parts in part order (an empty part adds no edge)."""
+    q, seed = check_int("q", q, lo=1), check_int("seed", seed, **SEED_RANGE)
     parts: dict[int, list[int]] = {}
     for eid in range(graph.m):
         parts.setdefault(_edge_part(seed, eid, q), []).append(eid)
@@ -196,9 +198,9 @@ def _cut_blocks(graph: Graph, ids: list[int]):
 def cut_matrix(graph: Graph, edge_ids: Iterable[int]) -> np.ndarray:
     """Boolean matrix: row r for the cut with mask r + 1 (see _cut_blocks),
     column per given edge; True when the edge crosses the cut.  n <= CUT_ENUM_LIMIT."""
+    ids = check_edge_ids(graph, edge_ids)
     if graph.n > CUT_ENUM_LIMIT:
         raise ParameterError(f"cut enumeration capped at n <= {CUT_ENUM_LIMIT}")
-    ids = sorted(edge_ids)
     return np.concatenate([np.zeros((0, len(ids)), dtype=bool), *(c for _, c in _cut_blocks(graph, ids))])
 
 
@@ -208,6 +210,7 @@ def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport
     Exhaustive cut enumeration up to CUT_ENUM_LIMIT nodes, else one Gomory-Hu tree
     of cert; that fails on the first omitted edge (u,v) with lambda_cert(u,v) < k.
     """
+    require_same_graph(graph, cert.graph, "certificate is not over the given graph", ParameterError)
     k = check_int("k", k, lo=1)
     k_cut = min(k, graph.m + 1)  # no cut or flow exceeds m; numpy compares within int64
     kept, omitted = sorted(cert.ids), sorted(set(range(graph.m)) - cert.ids)

@@ -32,11 +32,10 @@ from .errors import InvalidClusteringError
 from .graph import EdgeSet, Graph, first_per_key
 
 
-def require_same_graph(graph: Graph, expected: Graph, message: str) -> None:
-    """Raise InvalidClusteringError(message) unless `graph` is `expected` or
-    equal to it in (n, edges)."""
+def require_same_graph(graph: Graph, expected: Graph, message: str, error=InvalidClusteringError) -> None:
+    """Raise error(message) unless `graph` is `expected` or equal to it in (n, edges)."""
     if graph is not expected and (graph.n, graph.edges) != (expected.n, expected.edges):
-        raise InvalidClusteringError(message)
+        raise error(message)
 
 
 # The tree edges of every single-node cluster, shared so that a clustering

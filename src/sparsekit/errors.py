@@ -1,6 +1,6 @@
-"""Exception types shared across the toolkit, and the parameter contract:
-each public entry point passes every scalar parameter through `check_int`
-or `check_rational` once per call, and a rejected value is a ParameterError.
+"""Exception types shared across the toolkit, and the parameter contract: each public
+entry point passes every scalar parameter through `check_int` or `check_rational` and
+every edge-id argument through `check_edge_ids`, once per call; a rejection is a ParameterError.
 """
 
 from __future__ import annotations
@@ -46,6 +46,21 @@ def check_rational(name: str, value, *, lo=None, hi=None, open_lo=False, open_hi
     else:
         x = value if isinstance(value, Fraction) else _as_int(value)
     return _within(name, value, None if x is None else Fraction(x), "a rational", lo, hi, open_lo, open_hi)
+
+
+def check_edge_ids(graph, ids) -> list[int]:
+    """The distinct ids of the iterable `ids`, ascending: repeats read as a set.
+    ParameterError unless each is an int by `check_int`'s rule in [0, graph.m)."""
+    try:
+        seq = list(ids)
+    except TypeError:
+        raise ParameterError(f"edge ids must be an iterable of ints, got {ids!r}") from None
+    if not {int}.issuperset(map(type, seq)):  # one scan in C when every id is a plain int
+        seq = [check_int("edge id", x) for x in seq]
+    out = sorted(set(seq))
+    for x in out[:1] + out[-1:]:
+        check_int("edge id", x, lo=0, hi=graph.m - 1)
+    return out
 
 
 def _as_int(value) -> int | None:

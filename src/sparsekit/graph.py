@@ -28,13 +28,13 @@ from typing import Any, Container, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import InvalidGraphError, ParameterError, check_int
+from .errors import InvalidGraphError, ParameterError, check_edge_ids, check_int
 
 
-def _graph_int(name: str, value, lo=None) -> int:
-    """`check_int`'s rule for graph input, failing with InvalidGraphError."""
+def _graph_input(check, *args, **kwargs):
+    """A parameter check's rule applied to graph input, failing with InvalidGraphError."""
     try:
-        return check_int(name, value, lo=lo)
+        return check(*args, **kwargs)
     except ParameterError as ex:
         raise InvalidGraphError(str(ex)) from None
 
@@ -83,7 +83,7 @@ class Graph:
         weighted: bool = True,
         weight_cap: int | None = None,
     ):
-        self.n = n = _graph_int("n", n, lo=0)
+        self.n = n = _graph_input(check_int, "n", n, lo=0)
         self.weighted = weighted
         self.weight_cap = weight_cap if weight_cap is not None else max(4, n) ** 4
         built: list[Edge] = []
@@ -98,8 +98,8 @@ class Graph:
             except (TypeError, ValueError):
                 raise InvalidGraphError(f"edge {eid}: {e!r} is not (u, v) or (u, v, w)") from None
             if type(u) is not int or type(v) is not int or type(w) is not int:  # one cheap test per field
-                u, v = (_graph_int(f"edge {eid}: endpoint", x) for x in (u, v))
-                w = _graph_int(f"edge {eid}: weight", w)
+                u, v = (_graph_input(check_int, f"edge {eid}: endpoint", x) for x in (u, v))
+                w = _graph_input(check_int, f"edge {eid}: weight", w)
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidGraphError(f"edge {eid}: endpoint out of range")
             if u == v:
@@ -171,11 +171,15 @@ class Graph:
         edges: Container[int] | None = None,
         depth: int | None = None,
     ) -> dict[int, int]:
-        """Hop distances from `sources`, which are all at distance 0.
+        """Hop distances from the nodes `sources`, which are all at distance 0.
 
         Steps only into `nodes` and only along edge ids in `edges` (None
-        means no restriction) and expands no node at distance `depth`.
+        means no restriction) and expands no node at distance `depth` >= 0.
         """
+        sources = tuple(sources)
+        if not {int}.issuperset(map(type, sources)) or min(sources, default=0) < 0 or max(sources, default=0) >= self.n:
+            sources = [check_int("source", s, lo=0, hi=self.n - 1) for s in sources]
+        depth = depth if depth is None else check_int("depth", depth, lo=0)
         dist = dict.fromkeys(sources, 0)
         frontier = list(dist)
         d = 0
@@ -213,7 +217,7 @@ class Graph:
         Edge ids are re-densified in ascending original order; returns the
         new graph plus the map new_edge_id -> original_edge_id.
         """
-        keep = sorted(set(edge_ids))
+        keep = check_edge_ids(self, edge_ids)
         sub = Graph(self.n, [self.edges[i][1:] for i in keep], weighted=self.weighted, weight_cap=self.weight_cap)
         return sub, tuple(keep)
 
@@ -274,11 +278,7 @@ class EdgeSet:
     report: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", frozenset(self.ids))
-        m = self.graph.m
-        for eid in self.ids:
-            if not (0 <= eid < m):
-                raise InvalidGraphError(f"edge id {eid} not in graph (m={m})")
+        object.__setattr__(self, "ids", frozenset(_graph_input(check_edge_ids, self.graph, self.ids)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -297,5 +297,7 @@ class EdgeSet:
 
     @classmethod
     def read(cls, graph: Graph, path: str | Path) -> "EdgeSet":
-        ids = [int(ln) for ln in Path(path).read_text(encoding="utf-8").split()]
-        return cls(graph, frozenset(ids))
+        try:
+            return cls(graph, [int(ln) for ln in Path(path).read_text(encoding="utf-8").split()])
+        except ValueError as ex:  # from int(): EdgeSet itself raises InvalidGraphError
+            raise InvalidGraphError(f"bad edge id line in {path}: {ex}") from None

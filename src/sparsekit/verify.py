@@ -49,7 +49,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .clustering import Clustering, require_same_graph
-from .errors import ParameterError, check_int, check_rational
+from .errors import ParameterError, check_edge_ids, check_int, check_rational
 from .graph import EdgeSet, Graph
 
 INF = math.inf
@@ -65,7 +65,10 @@ def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> li
     """Single-source shortest path weights; math.inf for unreachable nodes."""
     if not 0 <= (source := check_int("source", source)) < graph.n:
         raise ParameterError(f"source {source} is not a node of a graph with {graph.n} nodes")
-    allowed = None if edge_ids is None else set(edge_ids)
+    return _sssp(graph, source, None if edge_ids is None else set(check_edge_ids(graph, edge_ids)))
+
+
+def _sssp(graph: Graph, source: int, allowed) -> list[int | float]:  # `sssp` over checked edge ids (None: all)
     dist: list[int | float] = [INF] * graph.n
     dist[source] = 0
     pq: list[tuple[int, int]] = [(0, source)]
@@ -87,13 +90,14 @@ def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> li
 
 def apsp(graph: Graph, edge_ids: Iterable[int] | None = None) -> list[list[int | float]]:
     """Exact all-pairs shortest path weights (inf where disconnected)."""
+    ids = range(graph.m) if edge_ids is None else check_edge_ids(graph, edge_ids)
     if graph.n == 0:
         return []
     if _exact_float_ok(graph):
-        ids = np.arange(graph.m) if edge_ids is None else np.fromiter(edge_ids, np.int64)
         rows = _sp_dijkstra(graph.matrix(ids, np.array(graph.arrays.w, np.int64)[ids]))
         return [[INF if math.isinf(x) else int(x) for x in row] for row in rows]
-    return [sssp(graph, s, edge_ids) for s in range(graph.n)]
+    allowed = set(ids)
+    return [_sssp(graph, s, allowed) for s in range(graph.n)]
 
 
 @dataclass(frozen=True)
@@ -172,18 +176,17 @@ def _peel(graph: Graph, w: Sequence[int], eid, u, v, peel: bool):
         kernel = frozenset(eid[inside].tolist())
 
         def rows(sources, limit=INF):
-            return [sssp(graph, s, kernel) for s in sources]
+            return [_sssp(graph, s, kernel) for s in sources]
 
     return np.array(parent), np.array(hop), np.array(att), np.array(dep, object), rows
 
 
 def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | float, int | None]:
     """Exact worst edge-stretch of the subgraph, with a witnessing edge id."""
-    ids = frozenset(sub_edges)
+    eid = np.array(check_edge_ids(graph, sub_edges), np.int64)  # kept, in id order
     if graph.m == 0:
         return Fraction(1), None
     n, (uv, w, _) = graph.n, graph.arrays
-    eid = np.sort(np.fromiter(ids, np.int64, len(ids)))  # kept, in id order
     out = np.setdiff1d(np.arange(graph.m), eid, assume_unique=True)  # omitted, in id order
     parent, hop, att, dep, rows = _peel(graph, w, eid, *uv[eid].T, len(out) > 0)
     u, v = uv[out].T
@@ -220,9 +223,7 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
 
 def verify_stretch(graph: Graph, spanner: EdgeSet, alpha) -> StretchReport:
     """Check that `spanner` is an alpha-spanner of `graph` (edge-wise, exact)."""
-    other = spanner.graph
-    if other is not graph and (other.n, other.edges) != (graph.n, graph.edges):
-        raise ParameterError("spanner is not over the given graph")
+    require_same_graph(graph, spanner.graph, "spanner is not over the given graph", ParameterError)
     alpha = check_rational("alpha", alpha, lo=1)
     ratio, worst_edge = measure_stretch(graph, spanner.ids)
     ok = not math.isinf(ratio) and ratio <= alpha
@@ -286,7 +287,7 @@ def verify_stretch_friendly(
     """
     require_same_graph(graph, clustering.graph, "clustering was built on another graph")
     label = clustering.label
-    ids: Sequence[int] = sorted(edge_ids) if edge_ids is not None else range(graph.m)
+    ids: Sequence[int] = range(graph.m) if edge_ids is None else check_edge_ids(graph, edge_ids)
     # Cache per-node root-path maxima lazily.
     root_max: dict[int, tuple[int, int | None]] = {}
     for eid in ids:

@@ -97,6 +97,15 @@ def test_verify_certificate_catches_missing_cycle_edge():
     assert not rep.ok and rep.detail["cut_size"] == 2 and rep.detail["kept"] == 1
 
 
+def test_verify_certificate_rejects_a_certificate_of_another_graph():
+    g6, g4 = cycle_graph(6), cycle_graph(4)
+    for graph, other in ((g4, g6), (g6, g4)):  # more edges than the graph, then fewer
+        with pytest.raises(ParameterError, match="not over the given graph"):
+            verify_certificate(graph, EdgeSet(other, frozenset(range(other.m))), 2)
+    # an equal graph built separately is accepted
+    assert verify_certificate(g6, EdgeSet(cycle_graph(6), frozenset(range(6))), 2).ok
+
+
 def test_verify_monotone_in_k():
     g = connected_gnp(12, 0.4, seed=9)
     cert = certificate_small_k(g, 3)

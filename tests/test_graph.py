@@ -124,6 +124,17 @@ def test_edgeset_serialization(tmp_path):
     assert EdgeSet.read(g, path).ids == es.ids
 
 
+def test_edgeset_read_rejects_a_malformed_file(tmp_path):
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    path = tmp_path / "es.txt"
+    for text, message in (("0\nx\n", "'x'"), ("0\n1.5\n", "'1.5'"), ("0\n2\n", "edge id"), ("-1\n", "edge id")):
+        path.write_text(text)
+        with pytest.raises(InvalidGraphError, match=message):
+            EdgeSet.read(g, path)
+    path.write_text("1\n0\n1\n")
+    assert EdgeSet.read(g, path).ids == {0, 1}
+
+
 def test_edgeset_rejects_bad_ids():
     g = Graph(3, [(0, 1, 1)])
     with pytest.raises(InvalidGraphError):

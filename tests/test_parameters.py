@@ -1,10 +1,14 @@
 """The parameter contract: every public construction, oracle and generator
 answers a bad scalar parameter with a ParameterError, through `check_int` and
-`check_rational`, and no other exception escapes."""
+`check_rational`, and every bad edge-id argument likewise, through
+`check_edge_ids`; no other exception escapes."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 
 import sparsekit as sk
 from sparsekit import certificates, generate
-from sparsekit.errors import ParameterError, SparsekitError, check_int, check_rational
+from sparsekit.errors import InvalidGraphError, ParameterError, SparsekitError, check_int, check_rational
 
 G = generate.gnp(8, 0.5, seed=1)
 H = sk.spanner(G, 2)
@@ -60,6 +64,10 @@ CALLS = {
     "verify_certificate.k": (lambda x: sk.verify_certificate(G, H, x), {BIG}),
     "verify_stretch.alpha": (lambda x: sk.verify_stretch(G, H, x), {2.5, BIG}),
     "sssp.source": (lambda x: sk.sssp(G, x), {0}),
+    "Graph.bfs.sources": (lambda x: G.bfs((x,)), {0}),
+    "Graph.bfs.depth": (lambda x: G.bfs((0,), depth=x), {None, 0, BIG}),
+    "karger_parts.q": (lambda x: certificates.karger_parts(G, x, 0), {BIG}),
+    "karger_parts.seed": (lambda x: certificates.karger_parts(G, 2, x), {0, -1}),
     "x_seq_holds.alpha": (lambda x: sk.x_seq_holds(x), {BIG}),
     "run.budget_bits": (lambda x: sk.run(G, sk.BaswanaSenProgram(2), budget_bits=x), {None, BIG}),
     "run.max_rounds": (lambda x: sk.run(G, sk.BaswanaSenProgram(2), max_rounds=x), {None, 0, BIG}),
@@ -157,3 +165,74 @@ def test_floats_are_read_as_the_decimal_they_print_as(monkeypatch):
     monkeypatch.setattr(certificates, "skeleton_for", lambda eps: seen.append(eps) or skeleton_for(eps))
     sk.certificate_small_k(G, 2, 0.1)
     assert seen == [Fraction(str(0.1))] == [Fraction(1, 10)]
+
+
+# The edge-id contract, on the graph of the probes that motivated it: m = 2,
+# so [2] is one id past the end, and -1 would read as the last edge.
+P = sk.Graph(3, [(0, 1, 5), (1, 2, 7)])
+
+# callable.parameter -> (call with the ids, the error a bad value raises, whether
+# None is the default that means every edge)
+EDGE_ID_CALLS = {
+    "sssp.edge_ids": (lambda x: sk.sssp(P, 1, x), ParameterError, True),
+    "apsp.edge_ids": (lambda x: sk.apsp(P, x), ParameterError, True),
+    "measure_stretch.sub_edges": (lambda x: sk.measure_stretch(P, x), ParameterError, False),
+    "verify_stretch_friendly.edge_ids": (
+        lambda x: sk.verify_stretch_friendly(P, sk.Clustering.singletons(P), x), ParameterError, True,
+    ),
+    "edge_connectivity.edge_ids": (lambda x: certificates.edge_connectivity(P, x), ParameterError, True),
+    "cut_matrix.edge_ids": (lambda x: certificates.cut_matrix(P, x).tolist(), ParameterError, False),
+    "Graph.edge_subgraph.edge_ids": (lambda x: (lambda s, e: (s.edges, e))(*P.edge_subgraph(x)), ParameterError, False),
+    "EdgeSet.ids": (lambda x: sk.EdgeSet(P, x), InvalidGraphError, False),
+}
+BAD_IDS = [[-1], [2], [1.5], [True], ["0"], {1.5}, {True}, 7, None, [1, -1], [0, 2], [1, True], [0, 0.0]]
+# Hot internals that take ids their callers have already checked.
+UNCHECKED = {"Graph.matrix"}
+
+
+@pytest.mark.parametrize("ids", BAD_IDS, ids=repr)
+@pytest.mark.parametrize("param", sorted(EDGE_ID_CALLS))
+def test_every_edge_id_argument_answers_a_bad_id_with_a_sparsekit_error(param, ids):
+    call, error, none_is_every_edge = EDGE_ID_CALLS[param]
+    if ids is None and none_is_every_edge:
+        assert call(None) == call(range(P.m))
+    else:
+        with pytest.raises(error, match="edge id"):
+            call(ids)
+
+
+@pytest.mark.parametrize("param", sorted(EDGE_ID_CALLS))
+def test_edge_ids_read_as_a_set_of_ints(param):
+    call = EDGE_ID_CALLS[param][0]
+    assert call([0, 0]) == call([0]) == call(iter([0])) == call(np.array([0])) == call((np.int32(0),))
+    assert call([1, 0, 1]) == call({0, 1}) == call(range(2))
+    assert call([]) == call(set())
+
+
+def test_repeated_ids_count_once_in_the_matrix_oracles():
+    assert sk.apsp(sk.Graph(2, [(0, 1, 5)]), [0, 0])[0][1] == 5 == sk.sssp(sk.Graph(2, [(0, 1, 5)]), 0, [0, 0])[1]
+    bridged = sk.Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], weighted=False)
+    ids = list(range(bridged.m))
+    assert certificates.edge_connectivity(bridged, ids + ids) == certificates.edge_connectivity(bridged, ids) == 1
+
+
+def test_public_callables_with_edge_id_parameters_are_all_swept():
+    swept = {name.rsplit(".", 1)[0] for name in EDGE_ID_CALLS}
+    found = set()
+    for info in pkgutil.iter_modules(sk.__path__):
+        module = importlib.import_module(f"sparsekit.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{m}", f) for m, f in vars(obj).items() if not m.startswith("_")]
+            for qualname, f in members:
+                f = getattr(f, "__func__", f)
+                try:
+                    params = inspect.signature(f).parameters
+                except (TypeError, ValueError):
+                    continue
+                if {"edge_ids", "sub_edges"} & set(params) or (qualname == "EdgeSet" and "ids" in params):
+                    found.add(qualname)
+    assert found - UNCHECKED == swept
