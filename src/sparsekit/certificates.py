@@ -21,6 +21,8 @@ Verification is exact: up to 18 nodes it enumerates all 2^(n-1)-1 cuts
 in blocks of rows.  Beyond, H keeps min(|cut|, k) edges of every cut iff
 every omitted edge (u,v) has lambda_H(u,v) >= k, an equivalence relation
 that one Gomory-Hu tree of H decides (Gusfield 1990; n-1 scipy max flows).
+The tree is built only when lambda(H) < k: lambda(H) is the least
+lambda_H(u,v) over all pairs, so lambda(H) >= k accepts every omitted edge.
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def cut_matrix(graph: Graph, edge_ids: Iterable[int]) -> np.ndarray:
 def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport:
     """Exact check that cert keeps min(|cut|, k) edges of every cut.
 
-    Exhaustive cut enumeration up to CUT_ENUM_LIMIT nodes, else one Gomory-Hu tree
-    of cert; that fails on the first omitted edge (u,v) with lambda_cert(u,v) < k.
+    Exhaustive cut enumeration up to CUT_ENUM_LIMIT nodes, else lambda(cert) >= k, or
+    one Gomory-Hu tree of cert; that fails on the first omitted edge (u,v) with
+    lambda_cert(u,v) < k.
     """
     require_same_graph(graph, cert.graph, "certificate is not over the given graph", ParameterError)
     k = check_int("k", k, lo=1)
@@ -224,6 +227,9 @@ def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport
                 detail = {"cut_mask": lo + i, "cut_size": int(cut_g[i]), "kept": int(cut_h[i])}
                 return CertificateReport(False, "cuts", k, detail)
         return CertificateReport(True, "cuts", k, {"cuts_checked": (1 << max(graph.n - 1, 0)) - 1})
+    detail = {"lambda_g": edge_connectivity(graph), "lambda_h": edge_connectivity(graph, kept)}
+    if detail["lambda_h"] >= k_cut:  # every pair, omitted edges included, is k-connected in H
+        return CertificateReport(True, "mincut", k, detail)
     cap = graph.matrix(kept, np.int32(1))
     parent, flow = _gomory_hu(cap)
     strong = np.flatnonzero(flow >= k_cut)  # never the root: flow[0] = 0 < k
@@ -231,7 +237,6 @@ def verify_certificate(graph: Graph, cert: EdgeSet, k: int) -> CertificateReport
     label = csgraph.connected_components(tree, directed=False)[1]
     u, v = graph.arrays.ends.T
     bad = np.flatnonzero(label[u[omitted]] != label[v[omitted]])
-    detail = {"lambda_g": edge_connectivity(graph), "lambda_h": int(flow[1:].min())}
     if len(bad):
         e = graph.edges[omitted[bad[0]]]
         lam, side = _min_cut(cap, e.u, e.v)

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the parameter contract: each public
 entry point passes every scalar parameter through `check_int` or `check_rational` and
-every edge-id argument through `check_edge_ids`, once per call; a rejection is a ParameterError.
+every edge-id argument through `check_edge_ids` (or, unsorted, `check_edge_set`), once
+per call; a rejection is a ParameterError.
 """
 
 from __future__ import annotations
@@ -51,16 +52,27 @@ def check_rational(name: str, value, *, lo=None, hi=None, open_lo=False, open_hi
 def check_edge_ids(graph, ids) -> list[int]:
     """The distinct ids of the iterable `ids`, ascending: repeats read as a set.
     ParameterError unless each is an int by `check_int`'s rule in [0, graph.m)."""
-    try:
-        seq = list(ids)
-    except TypeError:
-        raise ParameterError(f"edge ids must be an iterable of ints, got {ids!r}") from None
-    if not {int}.issuperset(map(type, seq)):  # one scan in C when every id is a plain int
-        seq = [check_int("edge id", x) for x in seq]
-    out = sorted(set(seq))
+    return _check_edges(graph, ids)[1]
+
+
+def check_edge_set(graph, ids) -> frozenset[int]:
+    """`check_edge_ids` as a frozenset: `ids` itself when it is a frozenset of plain ints."""
+    return _check_edges(graph, ids)[0]
+
+
+def _check_edges(graph, ids) -> tuple[frozenset[int], list[int]]:
+    if type(ids) is not frozenset or not {int}.issuperset(map(type, ids)):  # one scan in C
+        try:
+            seq = list(ids)
+        except TypeError:
+            raise ParameterError(f"edge ids must be an iterable of ints, got {ids!r}") from None
+        if not {int}.issuperset(map(type, seq)):
+            seq = [check_int("edge id", x) for x in seq]
+        ids = frozenset(seq)
+    out = sorted(ids)  # a set of ints iterates nearly in order: cheaper than min and max
     for x in out[:1] + out[-1:]:
         check_int("edge id", x, lo=0, hi=graph.m - 1)
-    return out
+    return ids, out
 
 
 def _as_int(value) -> int | None:

@@ -28,7 +28,7 @@ from typing import Any, Container, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import InvalidGraphError, ParameterError, check_edge_ids, check_int
+from .errors import InvalidGraphError, ParameterError, check_edge_ids, check_edge_set, check_int
 
 
 def _graph_input(check, *args, **kwargs):
@@ -176,7 +176,10 @@ class Graph:
         Steps only into `nodes` and only along edge ids in `edges` (None
         means no restriction) and expands no node at distance `depth` >= 0.
         """
-        sources = tuple(sources)
+        try:
+            sources = tuple(sources)
+        except TypeError:
+            raise ParameterError(f"sources must be an iterable of nodes, got {sources!r}") from None
         if not {int}.issuperset(map(type, sources)) or min(sources, default=0) < 0 or max(sources, default=0) >= self.n:
             sources = [check_int("source", s, lo=0, hi=self.n - 1) for s in sources]
         depth = depth if depth is None else check_int("depth", depth, lo=0)
@@ -278,7 +281,7 @@ class EdgeSet:
     report: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", frozenset(_graph_input(check_edge_ids, self.graph, self.ids)))
+        object.__setattr__(self, "ids", _graph_input(check_edge_set, self.graph, self.ids))
 
     def __len__(self) -> int:
         return len(self.ids)

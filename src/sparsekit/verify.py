@@ -25,11 +25,18 @@ dep(x).  A hanging tree is a dead end: a path that enters it leaves
 through the node it hangs from, so shortest paths between core nodes
 stay in the core.  An omitted edge {u, v} then has d_H equal to
   - the tree path through the lowest common ancestor if a(u) = a(v);
-  - dep(u) + dep(v) + d_K(a(u), a(v)) if a(u) and a(v) are core nodes,
-    with d_K by Dijkstra from a vertex cover of those pairs;
+  - dep(u) + dep(v) + d_K(a(u), a(v)) if a(u) and a(v) are core nodes;
   - inf otherwise, since u and v lie in different components; Dijkstra
     on the core finds this too, as a tree root has no core edges.
 If nothing peels (for H = G, say), K is H.
+
+Dijkstra runs between branch nodes only (Frederickson 1995): nodes of
+core degree other than 2, and the least node of each cycle of degree-2
+nodes.  Each other core node lies on a chain between two branch nodes,
+its ports, at known distances.  With the lightest chain between two
+branch nodes as an edge, d_K(x, y) is the least d(x, p) + D(p, q) +
+d(q, y) over ports p of x and q of y (D by Dijkstra from a vertex cover
+of those port pairs), or the way along a chain that x and y share.
 
 All distances are exact.  The scipy fast path computes Dijkstra in
 float64, which is exact for integer path weights below 2**53; inputs
@@ -40,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,15 +56,15 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .clustering import Clustering, require_same_graph
 from .errors import ParameterError, check_edge_ids, check_int, check_rational
-from .graph import EdgeSet, Graph
+from .graph import EdgeSet, Graph, first_per_key
 
 INF = math.inf
 
 
 def _exact_float_ok(graph: Graph) -> bool:
-    # Longest possible path weight must stay below 2**53 for float64 sums
-    # of integers to be exact.
-    return graph.n * max(1, max(graph.arrays.w, default=0)) < 2**53
+    # Longest possible path weight must stay below 2**53 for float64 sums of
+    # integers to be exact.  The last id in (w, id) order is a heaviest edge.
+    return graph.n * max(1, graph.arrays.w[graph.arrays.by_weight[-1]] if graph.m else 0) < 2**53
 
 
 def sssp(graph: Graph, source: int, edge_ids: Iterable[int] | None = None) -> list[int | float]:
@@ -112,34 +118,24 @@ class StretchReport:
         return f"stretch ok={self.ok} worst_ratio={self.worst_ratio}{tgt} worst_edge={self.worst_edge}"
 
 
-def _cover_distances(rows, pairs: Sequence[tuple[int, int]]) -> list[int | float]:
-    """The distance of each node pair, by Dijkstra (`rows`) from a greedy vertex
-    cover of the pairs, 256 sources at a time, so memory stays at 256 * n floats."""
-    deg = Counter(x for pair in pairs for x in pair)
-    by_source: dict[int, list[int]] = {}  # its keys are the cover
-    for i, (u, v) in enumerate(pairs):
-        if u in by_source or v in by_source:
-            s = u if u in by_source else v
-        else:
-            s = u if deg[u] >= deg[v] else v
-        by_source.setdefault(s, []).append(i)
-    sources = sorted(by_source)
-    out: list[int | float] = [0] * len(pairs)
-    for lo in range(0, len(sources), 256):
+def _cover_distances(rows, pairs) -> np.ndarray:
+    """The distance of each node pair, by Dijkstra (`rows`) from a vertex cover of the pairs (of
+    each pair, the end more pairs share), 256 sources at a time: memory stays at 256 * n values."""
+    u, v = (uv := np.asarray(pairs, np.int64).reshape(-1, 2)).T
+    src = np.where((deg := np.bincount(uv.ravel()))[u] >= deg[v], u, v)
+    out = np.empty(len(src), object)
+    for lo in range(0, len(sources := np.unique(src)), 256):
         chunk = sources[lo : lo + 256]
-        for s, row in zip(chunk, rows(chunk)):
-            for i in by_source[s]:
-                u, v = pairs[i]
-                out[i] = row[v if u == s else u]
+        at = (src >= chunk[0]) & (src <= chunk[-1])
+        out[at] = np.asarray(rows(chunk))[np.searchsorted(chunk, src[at]), (u + v - src)[at]]
     return out
 
 
 def _peel(graph: Graph, w: Sequence[int], eid, u, v, peel: bool):
-    """Peel H, the edges `eid` (ends `u`, `v`, weights `w[eid]`), to its 2-core.
+    """Peel H, the edges `eid` (ends `u`, `v`, weights `w[eid]`), to its 2-core K.
 
-    Returns arrays of each node's parent (-1 if unpeeled), hop depth, attachment
-    node and weighted depth below it, and `rows(sources, limit)`, Dijkstra over the
-    core's edges.  Nothing peels unless `peel`.  A node keeps the XOR of its
+    Returns arrays of each node's parent (-1 if unpeeled), hop depth, attachment node, weighted
+    depth below it and core degree.  Nothing peels unless `peel`.  A node keeps the XOR of its
     remaining neighbours and of their edge ids: at degree 1 they name its last edge.
     """
     n = graph.n
@@ -165,20 +161,65 @@ def _peel(graph: Graph, w: Sequence[int], eid, u, v, peel: bool):
     for x in reversed(order):  # a parent is peeled after its children
         y = parent[x]
         att[x], hop[x], dep[x] = att[y], hop[y] + 1, dep[y] + dep[x]
-    core = np.array(deg) > 0
-    inside = core[u] & core[v]
-    if _exact_float_ok(graph):
-        mat = graph.matrix(eid[inside], np.array(w, np.float64)[eid[inside]])
+    return np.array(parent), np.array(hop), np.array(att), np.array(dep, object), np.array(deg)
 
-        def rows(sources, limit=INF):
-            return _sp_dijkstra(mat, indices=sources, limit=limit)
+
+def _kernel(graph: Graph, w: Sequence[int], deg, eid, u, v):
+    """`dist(x, y, limit)`: d_K(x[i], y[i]) for nodes of K or tree roots, exact up to `limit`; K has
+    the edges `eid` with both ends `u`, `v` of core degree `deg` > 0.  Chain nodes get `port` and `off`."""
+    n = graph.n
+    inside = (deg[u] > 0) & (deg[v] > 0)
+    u, v, eid = u[inside], v[inside], eid[inside]
+    on = (deg[u] == 2) | (deg[v] == 2)  # the edges of chains
+    nb: dict[int, list[tuple[int, int]]] = {}  # each chain node's two (neighbour, weight) pairs
+    for x, y, e in zip(*(np.concatenate([a[on], b[on]]).tolist() for a, b in ((u, v), (v, u), (eid, eid)))):
+        nb.setdefault(x, []).append((y, w[e]))
+    deg, chain, walked, runs = deg.tolist(), [-1] * n, [], []
+    for s in sorted(nb, key=lambda x: (deg[x] == 2, x)):  # branch nodes, then the least node of each pure cycle
+        for y, d in nb[s]:
+            if chain[s] >= 0 or chain[y] >= 0:  # walked already
+                continue
+            prev, x, path = s, y, []
+            while deg[x] == 2 and x != s:
+                path.append((x, d))
+                chain[x] = y  # the chain is named by its first node
+                nxt, wt = nb[x][nb[x][0][0] == prev]  # the edge that does not lead back
+                prev, x, d = x, nxt, d + wt
+            walked += [(z, s, x, dz, d - dz) for z, dz in path]
+            if x != s:  # a loop chain is on no shortest path
+                runs.append((s, x, d))
+    kind = np.float64 if _exact_float_ok(graph) else object  # float64 holds every path weight exactly
+    port, off, chain = np.tile(np.arange(n), (2, 1)), np.zeros((2, n), kind), np.array(chain)
+    if walked:  # each chain node's two ports and its distance to each
+        z, pa, pb, da, db = zip(*walked)
+        port[:, z], off[:, z] = (pa, pb), (da, db)
+    ka, kb = (np.concatenate([k[~on], np.array([run[i] for run in runs], np.int64)]) for i, k in ((0, u), (1, v)))
+    kw = np.concatenate([np.array(w, kind)[eid[~on]], np.array([run[2] for run in runs], kind)])
+    if runs:  # a chain may run parallel to another or to an edge: keep the lightest per pair
+        first = (order := np.argsort(kw))[first_per_key(np.minimum(ka, kb)[order] * n + np.maximum(ka, kb)[order])[1]]
+        ka, kb, kw = ka[first], kb[first], kw[first]
+    if kind is np.float64:
+        from scipy.sparse import csr_matrix  # loaded with .graph
+        r, c = np.concatenate([ka, kb]), np.concatenate([kb, ka])  # both arcs, sorted by tail below
+        o = np.argsort(r)
+        mat = csr_matrix((np.concatenate([kw, kw])[o], c[o], np.searchsorted(r[o], np.arange(n + 1))), shape=(n, n))
     else:
-        kernel = frozenset(eid[inside].tolist())
+        kernel = Graph(n, zip(ka.tolist(), kb.tolist(), kw.tolist()), weight_cap=n * graph.weight_cap)
 
-        def rows(sources, limit=INF):
-            return [_sssp(graph, s, kernel) for s in sources]
+    def rows(sources, limit):  # exact: float64 below 2**53, Python integers beyond
+        if kind is object:
+            return np.array([_sssp(kernel, s, None) for s in sources], object)
+        return _sp_dijkstra(mat, indices=sources, limit=limit)
 
-    return np.array(parent), np.array(hop), np.array(att), np.array(dep, object), rows
+    def dist(x, y, limit=INF):  # the best of the four port pairs, or along a shared chain
+        p, q = port[:, x][:, None], port[:, y][None]
+        keys, inv = np.unique(np.minimum(p, q) * n + np.maximum(p, q), return_inverse=True)
+        d = _cover_distances(lambda chunk: rows(chunk, limit), np.stack(np.divmod(keys, n), 1)).astype(kind)
+        via = (off[:, x][:, None] + d[inv.reshape(2, 2, -1)] + off[:, y][None]).min(axis=(0, 1), initial=INF)
+        best = np.minimum(via, np.where((chain[x] == chain[y]) & (chain[x] >= 0), abs(off[0, x] - off[0, y]), INF))
+        return np.array([INF if z == INF else int(z) for z in best.tolist()], object)
+
+    return dist
 
 
 def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | float, int | None]:
@@ -186,9 +227,9 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
     eid = np.array(check_edge_ids(graph, sub_edges), np.int64)  # kept, in id order
     if graph.m == 0:
         return Fraction(1), None
-    n, (uv, w, _) = graph.n, graph.arrays
-    out = np.setdiff1d(np.arange(graph.m), eid, assume_unique=True)  # omitted, in id order
-    parent, hop, att, dep, rows = _peel(graph, w, eid, *uv[eid].T, len(out) > 0)
+    uv, w, _ = graph.arrays
+    out = np.delete(np.arange(graph.m), eid)  # omitted, in id order
+    parent, hop, att, dep, deg = _peel(graph, w, eid, *uv[eid].T, len(out) > 0)
     u, v = uv[out].T
     a, b = att[u], att[v]
     same = a == b  # one hanging tree: climb to the lowest common ancestor
@@ -199,10 +240,8 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
     dh = np.empty(len(out), object)
     dh[same] = dep[u[same]] + dep[v[same]] - 2 * dep[x]
     far = ~same  # a tree root has no core edges, so d_K to it is inf
-    keys, inv = np.unique(np.minimum(a, b)[far] * n + np.maximum(a, b)[far], return_inverse=True)
-    pairs = [divmod(k, n) for k in keys.tolist()]
-    d_core = np.array([INF if d == INF else int(d) for d in _cover_distances(rows, pairs)], object)
-    dh[far] = dep[u[far]] + dep[v[far]] + d_core[inv]
+    if dist := far.any() and _kernel(graph, w, deg, eid, *uv[eid].T):  # d_K, built on first use
+        dh[far] = dep[u[far]] + dep[v[far]] + dist(a[far], b[far])
     num, den, worst_edge = 0, 1, None
     for i, d in zip(out.tolist(), dh.tolist()):
         if d == INF or (w[i] == 0 and d > 0):
@@ -216,7 +255,8 @@ def measure_stretch(graph: Graph, sub_edges: Iterable[int]) -> tuple[Fraction | 
     stop = worst_edge if num == den else graph.m
     for i in eid[eid < stop].tolist():
         e = graph.edges[i]
-        if e.w and (e.v == parent[e.u] or e.u == parent[e.v] or rows([e.u], e.w)[0][e.v] == e.w):
+        if e.w and (e.v == parent[e.u] or e.u == parent[e.v]
+                    or (dist := dist or _kernel(graph, w, deg, eid, *uv[eid].T))([e.u], [e.v], e.w)[0] == e.w):
             return Fraction(1), i
     return Fraction(num, den), worst_edge
 

@@ -240,6 +240,21 @@ def test_verify_certificate_checks_the_cut_around_node_0():
     assert cut_matrix(edge, [0]).tolist() == [[True]]
 
 
+def test_gomory_hu_tree_is_built_only_when_lambda_h_is_below_k(monkeypatch):
+    built = []
+    gomory_hu = certificates._gomory_hu
+    monkeypatch.setattr(certificates, "_gomory_hu", lambda cap: built.append(cap.shape) or gomory_hu(cap))
+    g = complete_graph(20)  # n > 18: the mincut branch
+    rep = verify_certificate(g, certificate_small_k(g, 3), 3)
+    assert rep.ok and rep.mode == "mincut" and rep.detail == {"lambda_g": 19, "lambda_h": 3} and not built
+    g, cert = _k10_with_path_tail()  # lambda(H) = 1 < 3: the tree finds the omitted edge
+    rep = verify_certificate(g, cert, 3)
+    assert not rep.ok and rep.detail["edge"] == 9 and built == [(22, 22)]
+    g = Graph(22, [(i, (i + 1) % 22) for i in range(22)] + [(0, 11)], weighted=False)
+    rep = verify_certificate(g, EdgeSet(g, range(g.m)), 3)  # lambda(H) = 2 < 3, but nothing is omitted
+    assert rep.ok and rep.detail == {"lambda_g": 2, "lambda_h": 2} and len(built) == 2
+
+
 @st.composite
 def graph_and_subgraph(draw, max_n=12):
     n = draw(st.integers(2, max_n))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.errors import InvalidGraphError
+from sparsekit.errors import InvalidGraphError, ParameterError
 from sparsekit.graph import EdgeSet, Graph
 
 from conftest import gnp_graph
@@ -172,3 +172,17 @@ def test_bfs_matches_networkx(case):
     dist = g.bfs(sources, nodes=nodes, edges=edges, depth=depth)
     assert dist == expected
     assert list(dist.values()) == sorted(dist.values())  # level by level
+
+
+@pytest.mark.parametrize("sources", [5, None])
+def test_bfs_rejects_sources_that_are_not_iterable(sources):
+    with pytest.raises(ParameterError, match="sources must be an iterable"):
+        Graph(3, [(0, 1, 1)]).bfs(sources)
+
+
+def test_edgeset_keeps_a_frozenset_of_ints_as_given():
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    ids = frozenset([1, 0])
+    assert EdgeSet(g, ids).ids is ids
+    assert EdgeSet(g, frozenset([np.int64(1)])).ids == {1}  # numpy ints are read as ints
+    assert type(next(iter(EdgeSet(g, frozenset([np.int64(1)])).ids))) is int

@@ -343,6 +343,74 @@ def test_peel_no_omitted_edge():
     assert check_against_reference(zeros, frozenset(range(3))) == (Fraction(0), None)
 
 
+# -- degree-2 chains: Dijkstra runs between branch nodes only -----------------
+
+# Branch nodes 0 and 1 (core degree >= 3) joined by three parallel chains,
+# 0-2-3-1 (length 3), 0-4-1 (length 4) and 0-5-6-7-1 (length 8); the omitted
+# edges come after the kept ones.
+THETA = [(0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 2), (4, 1, 2), (0, 5, 1), (5, 6, 5), (6, 7, 1), (7, 1, 1)]
+
+
+def kept_first(n: int, kept: list, omitted: list) -> tuple:
+    return Graph(n, kept + omitted), frozenset(range(len(kept)))
+
+
+def test_chain_between_two_branch_nodes():
+    # d_H(2, 6) = 2 + 2 through port 1 of both chains
+    g, ids = kept_first(8, THETA, [(2, 6, 1), (3, 4, 2), (4, 7, 1)])
+    assert check_against_reference(g, ids) == (Fraction(4, 1), 9)
+
+
+def test_both_ends_of_an_omitted_edge_on_one_chain():
+    # around the chain: d_H(5, 7) = 1 + 3 + 1 < 6, its length along the chain
+    g, ids = kept_first(8, THETA, [(5, 7, 1)])
+    assert check_against_reference(g, ids) == (Fraction(5, 1), 9)
+    # along the chain 0-2-3-5-1: d_H(2, 5) = 2, the way round through 0 and 1 is 21
+    g, ids = kept_first(6, [(0, 4, 2), (4, 1, 2), (0, 1, 3), (0, 2, 9), (2, 3, 1), (3, 5, 1), (5, 1, 9)], [(2, 5, 1)])
+    assert check_against_reference(g, ids) == (Fraction(2, 1), 7)
+
+
+def test_loop_chain():
+    # the loop 0-8-9-0 is no kernel edge: d_H(8, 4) = 1 + 2 and d_H(9, 7) = 2 + 4 leave it at 0
+    g, ids = kept_first(10, THETA + [(0, 8, 1), (8, 9, 1), (9, 0, 4)], [(8, 4, 1), (9, 7, 2)])
+    assert check_against_reference(g, ids) == (Fraction(3, 1), 12)
+
+
+def test_parallel_chains_and_edge_between_one_branch_pair():
+    # only the lightest of the four ways from 0 to 1 (length 3) is a kernel edge
+    g, ids = kept_first(8, THETA + [(0, 1, 9)], [(5, 1, 1), (6, 4, 3)])
+    assert check_against_reference(g, ids) == (Fraction(4, 1), 10)
+    g, ids = kept_first(8, THETA + [(0, 1, 2)], [(5, 1, 1), (6, 4, 3)])  # the edge is lighter still
+    assert check_against_reference(g, ids) == (Fraction(3, 1), 10)
+
+
+def test_pure_cycle_beside_a_cyclic_component():
+    # 10-11-12-13 is a cycle of degree-2 nodes: its least node 10 stands in for a branch node
+    cycle = [(10, 11, 1), (11, 12, 2), (12, 13, 3), (13, 10, 4)]
+    g, ids = kept_first(14, THETA + cycle, [(10, 12, 1), (11, 13, 1), (2, 7, 1)])
+    assert check_against_reference(g, ids) == (Fraction(5, 1), 14)
+    g, ids = kept_first(14, THETA + cycle, [(12, 10, 2), (6, 13, 1)])  # the two cyclic parts are apart
+    assert check_against_reference(g, ids) == (math.inf, 14)
+
+
+def test_zero_weight_chain_edges():
+    zero = [(0, 2, 0), (2, 3, 0), (3, 1, 0), (0, 4, 2), (4, 1, 2), (0, 5, 0), (5, 6, 1), (6, 7, 0), (7, 1, 0)]
+    # d_H(2, 1) = 0 = w, d_H(5, 7) = 0 round the chain through 0 and 1, d_H(4, 3) = 2 = w:
+    # no omitted edge tops 1, so the first kept edge of ratio 1 is the witness
+    g, ids = kept_first(8, zero, [(2, 1, 0), (5, 7, 1), (4, 3, 2)])
+    assert check_against_reference(g, ids) == (Fraction(1, 1), 3)
+    g, ids = kept_first(8, zero, [(2, 1, 0), (4, 3, 0)])  # 4 is 2 away from 3
+    assert check_against_reference(g, ids) == (math.inf, 10)
+
+
+def test_chained_core_on_the_exact_integer_path():
+    g, ids = kept_first(14, THETA + [(0, 8, 1), (8, 9, 1), (9, 0, 4), (10, 11, 1), (11, 12, 2), (12, 13, 3),
+                                     (13, 10, 4)], [(8, 4, 1), (5, 7, 1), (10, 12, 1), (2, 6, 3)])
+    big = scaled(g, 2**50)
+    assert not _exact_float_ok(big)  # check_against_reference measures `big` on the integer path
+    assert check_against_reference(g, ids) == (Fraction(5, 1), 17)
+
+
 @st.composite
 def near_forest_and_graph(draw):
     """H is a random spanning forest plus at most 3 edges; G adds omitted edges."""
