@@ -20,7 +20,8 @@ them through `build_adjacency` and `run_iteration`, the derandomized
 utility reads `NodeAdjacency.adds_if_first`, and the message-passing
 `BaswanaSenProgram` calls them directly.  Cluster sampling coins are
 derived per (seed, cluster root, iteration), which is what lets the
-message-passing version reproduce the centralized run bit for bit.
+message-passing version reproduce the centralized run bit for bit; its
+nodes share one record per run, which derives each coin once.
 
 The loop around the step is written once too: `run_iterations` runs g
 sampled iterations, seeded or derandomized, and `final_pass` runs the
@@ -357,18 +358,29 @@ def run_g_iterations(
 
 
 @dataclass
-class _BSNodeState:
+class _BSRun:
+    """What every node of one run shares, and the coins derived so far."""
+
     seed: int
     p: Fraction
-    iteration: int  # next iteration to decide
     last: int  # the final pass's iteration
+    bits: int  # message width: dead flag, kill flag, root
+    coins: dict[tuple[int, int], bool]  # (cluster root, iteration) -> sampled
+
+    def coin(self, root: int, i: int) -> bool:
+        coin = self.coins.get((root, i))
+        if coin is None:
+            coin = self.coins[root, i] = derived_coin(self.seed, root, i, self.p, _COIN_SALT)
+        return coin
+
+
+@dataclass
+class _BSNodeState:
+    run: _BSRun
+    iteration: int  # next iteration to decide
     root: int
-    edge_root: dict[int, int]  # alive edge id -> current root of the other endpoint
-    weights: dict[int, int]
-    neighbor_of: dict[int, int]  # edge id -> neighbor node
-    edge_of: dict[int, int]  # neighbor node -> edge id
+    alive: dict[int, tuple[int, int, int]]  # neighbor -> (weight, its root, edge id), per alive edge
     added: list[int]
-    root_bits: int
 
 
 class BaswanaSenProgram:
@@ -377,97 +389,76 @@ class BaswanaSenProgram:
     Per iteration every node locally derives the sample coin of its own
     and of each neighboring cluster from the shared seed and the cluster
     root ids (learned from the previous round's messages), so no
-    broadcast along cluster trees is needed.  A coin is a pure function
-    of its arguments, so the program derives each one once.  The step
-    itself is `cluster_entries` and `decide`, the code `run_iteration`
-    runs.  Each message packs a dead flag, an edge-kill flag, and the
-    sender's new cluster root into 2 + ceil(log2 n) bits.  A node halts
-    right after deciding the iteration in which it dies, so the sampled
-    iterations of `_schedule` (k-1, or none at p = 1, as in `spanner`)
-    take as many message rounds; each node outputs the sorted list of
-    edge ids it added.
+    broadcast along cluster trees is needed.  The nodes of a run share
+    one record: its seed, p, final pass and message width, and a table of
+    its coins keyed (root, iteration), so each coin is derived once per
+    run.  The program keeps one record per (n, seed), all that a record
+    depends on.  The step itself is `cluster_entries` and `decide`, the
+    code `run_iteration` runs.  Each message packs a dead flag, an
+    edge-kill flag, and the sender's new cluster root into 2 + ceil(log2 n)
+    bits.  A node halts right after deciding the iteration in which it
+    dies, so the sampled iterations of `_schedule` (k-1, or none at p = 1,
+    as in `spanner`) take as many message rounds; each node outputs the
+    sorted list of edge ids it added.
     """
 
     def __init__(self, k: int):
         self.k = check_int("k", k, lo=1)
-        self._coins: dict[tuple, bool] = {}
-        self._schedules: dict[int, tuple[Fraction, int]] = {}
+        self._runs: dict[tuple[int, int], _BSRun] = {}
 
-    def schedule(self, n: int) -> tuple[Fraction, int]:
-        """`_schedule(n, k)`, derived once per node count rather than once per node."""
-        if n not in self._schedules:
-            self._schedules[n] = _schedule(n, self.k)
-        return self._schedules[n]
-
-    def _coin(self, seed: int, root: int, i: int, p: Fraction) -> bool:
-        # p enters the key as two ints: hashing a Fraction costs more than the lookup saves.
-        key = (seed, root, i, p.numerator, p.denominator, _COIN_SALT)
-        coin = self._coins.get(key)
-        if coin is None:
-            coin = self._coins[key] = derived_coin(seed, root, i, p, _COIN_SALT)
-        return coin
+    def _record(self, n: int, seed: int) -> _BSRun:
+        """The record of a run on n nodes under `seed`, made once."""
+        run = self._runs.get((n, seed))
+        if run is None:
+            p, g = _schedule(n, self.k)
+            run = self._runs[n, seed] = _BSRun(seed, p, g + 1, 2 + ceil_log2(max(n, 2)), {})
+        return run
 
     def _decide(self, st: _BSNodeState) -> tuple[bool, set[int]]:
         """Decide the next iteration; returns (dead, killed edge ids)."""
-        i = st.iteration
+        i, run = st.iteration, st.run
         st.iteration += 1
-        sampling = i < st.last
-        if sampling and self._coin(st.seed, st.root, i, st.p):
+        sampling = i < run.last
+        if sampling and run.coin(st.root, i):
             return False, set()
-        entries, edges_by_entry = cluster_entries((st.weights[eid], root, eid) for eid, root in st.edge_root.items())
+        entries, edges_by_entry = cluster_entries(st.alive.values())
         first = None  # never the own cluster's entry: its coin came up false
         if sampling:
-            first = next(
-                (j for j, (_, root, _) in enumerate(entries) if self._coin(st.seed, root, i, st.p)),
-                None,
-            )
+            first = next((j for j, (_, root, _) in enumerate(entries) if run.coin(root, i)), None)
         take = decide([w for w, _, _ in entries], first)
         kills = {eid for j in take for eid in edges_by_entry[j]}
         st.added.extend(entries[j][2] for j in take)
-        for eid in kills:
-            del st.edge_root[eid]
+        st.alive = {nb: edge for nb, edge in st.alive.items() if edge[2] not in kills}
         if first is not None:
             st.root = entries[first][1]
         return first is None, kills
 
     def _advance(self, st: _BSNodeState):
         """Decide, send the outcome over every edge alive before it, halt when done."""
-        targets = list(st.edge_root)
+        alive = st.alive  # `_decide` rebinds st.alive when it kills edges
         dead, kills = self._decide(st)
-        kept, killed = (pack_bits(dead | kill << 1 | st.root << 2, 2 + st.root_bits) for kill in (0, 1))
-        msgs = {st.neighbor_of[eid]: killed if eid in kills else kept for eid in targets}
-        if dead or st.iteration > st.last:
+        kept, killed = (pack_bits(dead | kill << 1 | st.root << 2, st.run.bits) for kill in (0, 1))
+        msgs = {nb: killed if eid in kills else kept for nb, (_, _, eid) in alive.items()}
+        if dead or st.iteration > st.run.last:
             return None, msgs, Halt(sorted(st.added))
         return st, msgs, None
 
     # -- NodeProgram interface -------------------------------------------
 
     def init(self, view: LocalView, seed: int):
-        p, g = self.schedule(view.n)
-        st = _BSNodeState(
-            seed=seed,
-            p=p,
-            iteration=1,
-            last=g + 1,
-            root=view.node,
-            edge_root={eid: nb for eid, nb, _ in view.incident},
-            weights={eid: w for eid, _, w in view.incident},
-            neighbor_of={eid: nb for eid, nb, _ in view.incident},
-            edge_of={nb: eid for eid, nb, _ in view.incident},
-            added=[],
-            root_bits=ceil_log2(max(view.n, 2)),
-        )
-        return self._advance(st)
+        alive = {nb: (w, nb, eid) for eid, nb, w in view.incident}
+        return self._advance(_BSNodeState(self._record(view.n, seed), 1, view.node, alive, []))
 
     def step(self, st: _BSNodeState, view: LocalView, round_no: int, inbox: dict[int, bytes]):
         # Apply the neighbors' previous-iteration decisions.
+        alive = st.alive
         for sender, msg in inbox.items():
-            eid = st.edge_of[sender]
             value = unpack_bits(msg)
             if value & 3:  # the neighbor died or killed this edge
-                st.edge_root.pop(eid, None)
-            elif eid in st.edge_root:
-                st.edge_root[eid] = value >> 2
+                alive.pop(sender, None)
+            elif sender in alive:
+                w, _, eid = alive[sender]
+                alive[sender] = (w, value >> 2, eid)
         return self._advance(st)
 
 
@@ -488,7 +479,7 @@ def run_distributed_spanner(
 
     program = BaswanaSenProgram(k)
     if max_rounds is None:
-        max_rounds = program.schedule(graph.n)[1]
+        max_rounds = program._record(graph.n, seed).last - 1
     trace = run(graph, program, budget_bits=budget_bits, max_rounds=max_rounds, seed=seed)
     ids: set[int] = set()
     for out in trace.outputs.values():

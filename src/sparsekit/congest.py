@@ -8,16 +8,18 @@ bits, covering ids-plus-weights payloads with room to spare).  Delivery
 is reliable and takes exactly one round; there are no failures.
 
 A program first runs `init` with its local view (no inbox); `init` may
-already send and may halt.  `rounds_used` counts executed message
-rounds, so a program that halts in `init` uses 0 rounds.  Nodes are
-stepped in id order but cannot observe that order — all round-t
-messages are delivered together at round t+1 — so any parallel
-execution of a round is equivalent.  Each inbox is a dict in ascending
-sender order, the order in which senders post.  An outbox is checked in
-bulk: its destinations are neighbors, its messages `bytes`, the longest
-within budget.  Only if a check fails, or a message is a `bytearray` (to
-be copied to `bytes`), is it walked in destination order, so an error
-names the smallest offending destination.
+already send and may halt.  One loop runs every round: its first pass,
+round 0, calls `init` on every node, and each later pass calls `step` on
+the nodes still running.  `rounds_used` counts the passes after round 0,
+so a program that halts in `init` uses 0 rounds.  Nodes are stepped in
+id order but cannot observe that order — all round-t messages are
+delivered together at round t+1 — so any parallel execution of a round
+is equivalent.  Each inbox is a dict in ascending sender order, the
+order in which senders post.  An outbox is checked in bulk: its
+destinations are neighbors, its messages `bytes`, the longest within
+budget.  Only if a check fails, or a message is a `bytearray` (to be
+copied to `bytes`), is it walked in destination order, so an error names
+the smallest offending destination.
 
 Randomness: one global seed; each node derives an independent-looking
 stream as sha256(seed, node, round) via `derive_randomness` /
@@ -142,9 +144,10 @@ def run(
 
     Deterministic given (graph, program, seed): nodes are stepped in id
     order each round, and all messages sent in round t are delivered in
-    round t+1.  Raises BudgetViolationError when a message exceeds the
-    bit budget and SimulationTimeout when max_rounds passes with running
-    nodes.
+    round t+1.  Round 0 is the loop's first pass, which calls `init`
+    instead of `step`.  Raises BudgetViolationError when a message
+    exceeds the bit budget and SimulationTimeout when max_rounds passes
+    with running nodes.
     """
     budget = default_budget_bits(graph.n) if budget_bits is None else check_int("budget_bits", budget_bits, lo=1)
     limit = max(16, 10 * graph.n) if max_rounds is None else check_int("max_rounds", max_rounds, lo=0)
@@ -157,9 +160,8 @@ def run(
     views = [LocalView(v, graph.n, tuple(inc)) for v, inc in enumerate(incident)]
     neighbor_sets = [{nb for _, nb, _ in inc} for inc in incident]
 
-    states: dict[int, Any] = {}
+    states: dict[int, Any] = dict.fromkeys(range(graph.n))  # the running nodes, in id order
     outputs: dict[int, Any] = {}
-    running: set[int] = set()
     max_bits = 0
     per_round: list[int] = []
 
@@ -184,43 +186,31 @@ def run(
             max_bits = max(max_bits, bits)
             nxt[dst][sender] = bytes(msg)
 
-    # Round 0: init (no inbox).
-    nxt: list[dict[int, bytes]] = [{} for _ in range(graph.n)]
-    count0 = 0
-    for v in range(graph.n):
-        state, outbox, halt = program.init(views[v], seed)
-        count0 += len(outbox)
-        post(v, outbox, 0, nxt)
-        if halt is not None:
-            outputs[v] = halt.output
-        else:
-            states[v] = state
-            running.add(v)
-    pending = nxt
-    per_round.append(count0)  # messages sent during init
-
     rounds = 0
-    while running:
-        if rounds >= limit:
-            raise SimulationTimeout(limit, len(running))
-        rounds += 1
-        nxt = [{} for _ in range(graph.n)]
-        count_sent = 0
-        for v in sorted(running):
-            # Senders post in ascending id order, so each inbox is in sender order.
-            state, outbox, halt = program.step(states[v], views[v], rounds, pending[v])
-            count_sent += len(outbox)
+    while True:
+        # Round 0 runs init (no inbox), later rounds step.  Senders post in
+        # ascending id order, so each inbox is in sender order.
+        nxt: list[dict[int, bytes]] = [{} for _ in range(graph.n)]
+        sent = 0
+        for v, state in list(states.items()):
+            if rounds:
+                state, outbox, halt = program.step(state, views[v], rounds, pending[v])
+            else:
+                state, outbox, halt = program.init(views[v], seed)
+            sent += len(outbox)
             post(v, outbox, rounds, nxt)
-            if halt is not None:
+            if halt is None:
+                states[v] = state
+            else:
                 outputs[v] = halt.output
                 del states[v]
-                running.discard(v)
-            else:
-                states[v] = state
         pending = nxt
-        per_round.append(count_sent)
-
-    return RoundTrace(rounds, max_bits, per_round, outputs, rounds, rounds)
+        per_round.append(sent)
+        if not states:
+            return RoundTrace(rounds, max_bits, per_round, outputs, rounds, rounds)
+        if rounds >= limit:
+            raise SimulationTimeout(limit, len(states))
+        rounds += 1
 
 
 def run_on_cluster_graph(

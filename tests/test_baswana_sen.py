@@ -532,6 +532,35 @@ def test_distributed_spanner_derives_its_schedule_once(monkeypatch):
         assert es.ids == spanner(g, 3, seed=1).ids
 
 
+def test_distributed_spanner_derives_each_coin_once(monkeypatch):
+    # The nodes of a run share one coin table keyed (root, iteration), and
+    # the program keeps it per (n, seed): a second graph on as many nodes
+    # under the same seed reuses it, and a new seed derives its own.
+    from sparsekit import baswana_sen, generate
+    from sparsekit.congest import run
+
+    first, second = generate.gnp(256, 16 / 256, seed=2), generate.gnp(256, 16 / 256, seed=3, weighted=True)
+    runs = [(first, 1), (second, 1), (first, 2)]
+    expected = [spanner(g, 3, seed).ids for g, seed in runs]  # before derived_coin is counted
+    derive, calls = baswana_sen.derived_coin, []
+
+    def counted(seed, root, i, p, salt=b""):
+        calls.append((seed, root, i))
+        return derive(seed, root, i, p, salt)
+
+    monkeypatch.setattr(baswana_sen, "derived_coin", counted)
+    program = BaswanaSenProgram(3)
+    per_run = []
+    for (g, seed), ids in zip(runs, expected):
+        calls.clear()
+        assert set().union(*run(g, program, seed=seed).outputs.values()) == ids
+        per_run.append(list(calls))
+    assert per_run[0] and len(set(per_run[0] + per_run[1])) == len(per_run[0]) + len(per_run[1])
+    assert {i for _, _, i in per_run[1]} <= {2}  # every node's own iteration-1 coin is in the table
+    assert len(set(per_run[2])) == len(per_run[2])
+    assert {(2, v, 1) for v in range(256)} <= set(per_run[2])
+
+
 def test_spanner_stretch_guarantee_random():
     for seed in range(8):
         weighted = seed % 2 == 0

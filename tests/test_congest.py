@@ -206,6 +206,23 @@ def test_timeout():
         run(g, NeverHalts(), max_rounds=7)
 
 
+def test_round_cap_boundary():
+    # Round 0 (init) is not counted against max_rounds; round r is the
+    # last one a cap of r allows, and a program that halts in init needs
+    # a cap of 0 only.  per_round_messages has one entry per round, 0
+    # included, also on a graph with no nodes.
+    g, r = path_graph(5), 4  # diameter r
+    trace = run(g, FloodMin(r), max_rounds=r)
+    assert trace.rounds_used == r and len(trace.per_round_messages) == r + 1
+    assert set(trace.outputs.values()) == {0}
+    with pytest.raises(SimulationTimeout) as exc:
+        run(g, FloodMin(r), max_rounds=r - 1)
+    assert exc.value.max_rounds == r - 1 and exc.value.running == g.n
+    assert run(g, HaltImmediately(), max_rounds=0).rounds_used == 0
+    empty = run(Graph(0, []), FloodMin(r), max_rounds=0)
+    assert empty.rounds_used == 0 and empty.per_round_messages == [0]
+
+
 def test_budget_monotonicity():
     g = connected_gnp(16, 0.25, seed=4)
     lo = run(g, FloodMin(4), budget_bits=64)
