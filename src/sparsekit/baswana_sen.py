@@ -392,27 +392,27 @@ class BaswanaSenProgram:
     broadcast along cluster trees is needed.  The nodes of a run share
     one record: its seed, p, final pass and message width, and a table of
     its coins keyed (root, iteration), so each coin is derived once per
-    run.  The program keeps one record per (n, seed), all that a record
-    depends on.  The step itself is `cluster_entries` and `decide`, the
-    code `run_iteration` runs.  Each message packs a dead flag, an
-    edge-kill flag, and the sender's new cluster root into 2 + ceil(log2 n)
-    bits.  A node halts right after deciding the iteration in which it
-    dies, so the sampled iterations of `_schedule` (k-1, or none at p = 1,
-    as in `spanner`) take as many message rounds; each node outputs the
-    sorted list of edge ids it added.
+    run.  The program keeps only the latest record, reused while (n, seed),
+    all that a record depends on, repeats.  The step itself is
+    `cluster_entries` and `decide`, the code `run_iteration` runs.  Each
+    message packs a dead flag, an edge-kill flag, and the sender's new
+    cluster root into 2 + ceil(log2 n) bits.  A node halts right after
+    deciding the iteration in which it dies, so the sampled iterations of
+    `_schedule` (k-1, or none at p = 1, as in `spanner`) take as many
+    message rounds; each node outputs the sorted list of edge ids it added.
     """
 
     def __init__(self, k: int):
         self.k = check_int("k", k, lo=1)
-        self._runs: dict[tuple[int, int], _BSRun] = {}
+        self._key: tuple[int, int] | None = None  # (n, seed) of `_run`
+        self._run: _BSRun | None = None
 
     def _record(self, n: int, seed: int) -> _BSRun:
-        """The record of a run on n nodes under `seed`, made once."""
-        run = self._runs.get((n, seed))
-        if run is None:
+        """The record of a run on n nodes under `seed`, made when (n, seed) changes."""
+        if self._key != (n, seed):
             p, g = _schedule(n, self.k)
-            run = self._runs[n, seed] = _BSRun(seed, p, g + 1, 2 + ceil_log2(max(n, 2)), {})
-        return run
+            self._key, self._run = (n, seed), _BSRun(seed, p, g + 1, 2 + ceil_log2(max(n, 2)), {})
+        return self._run
 
     def _decide(self, st: _BSNodeState) -> tuple[bool, set[int]]:
         """Decide the next iteration; returns (dead, killed edge ids)."""

@@ -113,8 +113,8 @@ class SeparatedClustering:
             near = [label[v] for v in reach if label[v] > i]
             if near:
                 raise InvariantViolation(f"clusters {i} and {min(near)} are within distance {self.t_sep}")
-        if 2 * self.clustering.covered() < len(self.universe):
-            raise InvariantViolation("carve clustered fewer than half the nodes")
+        if 2 * (covered := self.clustering.covered()) < len(self.universe):
+            raise InvariantViolation(f"carve clustered {covered}/{len(self.universe)} nodes, fewer than half")
 
 
 def diameter_cap(n: int, t_sep: int) -> int:
@@ -155,10 +155,6 @@ def carve_clustering(
         remaining -= {u for u, d in dist.items() if d <= r_star + t_sep}
 
     clustering = Clustering(graph, parent)
-    if 2 * clustering.covered() < len(universe):
-        raise InvariantViolation(
-            f"coverage {clustering.covered()}/{len(universe)} below one half"
-        )
     # diam <= 2 ecc(root) <= 2 r_cap = the cap, so the exact diameter runs
     # only if that certificate fails, which a correct run never sees.
     diam_bound = diameter_cap(len(universe), t_sep)

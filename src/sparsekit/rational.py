@@ -2,8 +2,10 @@
 
 The derandomization code compares conditional expectations exactly, so
 everything here is exact: fractions.Fraction or plain integers, never
-floats.  HAVE_GMPY2 only reports whether gmpy2 is importable; no code
-path depends on it.
+floats.  Even ln is bounded in integer arithmetic with a proven error
+bound (`rat_ln_upper`), so no result depends on the platform's libm or
+on a third-party library.  HAVE_GMPY2 only reports whether gmpy2 is
+importable; no code path depends on it.
 """
 
 from __future__ import annotations
@@ -73,20 +75,52 @@ def sampling_probability(n: int, k: int) -> Fraction:
     return Fraction(1 << bits, lo)
 
 
-def rat_ln_upper(x) -> Fraction:
-    """A rational upper bound on ln(x), accurate to 2**-LN_BITS.
+def _atanh_fixed(a: int, b: int, prec: int) -> tuple[int, int]:
+    """(s, err) with s <= atanh(a/b) * 2**prec <= s + err, for 0 <= a/b <= 1/3.
 
-    mpmath keeps this reproducible across platforms (no dependence
-    on the system libm).
+    The power t**(2k+1) * 2**prec is carried rounded down, each step off
+    by less than 1 + t**2 * (the last error) < 9/8; the term's floor adds
+    less than 1 more.  Summing stops at the first zero power, which
+    bounds the tail by (9/8) / (1 - t**2) < 2.
     """
-    import mpmath  # imported here: `import sparsekit` need not load it
+    c, d = a * a, b * b
+    pw, s, k = (a << prec) // b, 0, 0
+    while pw:
+        s += pw // (2 * k + 1)
+        pw, k = pw * c // d, k + 1
+    return s, 3 * k + 2
 
+
+def rat_ln_upper(x) -> Fraction:
+    """ceil(ln(x) * 2**LN_BITS) / 2**LN_BITS for a rational x > 0.
+
+    With x = 2**e * m, m in [1, 2),
+    ln x = 2 e atanh(1/3) + 2 atanh((m-1)/(m+1)), both summed in integers
+    with `prec` fractional bits and an error bound; `prec` doubles from 64
+    until the bracket's ends share their ceil.  That ends for every
+    x != 1: ln x is then irrational (Lindemann), so never on the
+    2**-LN_BITS grid.
+    """
+    x = Fraction(x)
     if x <= 0:
         raise ValueError("ln of nonpositive value")
-    with mpmath.workdps(40):
-        v = mpmath.ln(mpmath.mpf(x))
-        scaled = int(mpmath.ceil(v * (1 << LN_BITS)))
-    return Fraction(scaled, 1 << LN_BITS)
+    if x == 1:
+        return Fraction(0)
+    a, b = x.numerator, x.denominator
+    e = a.bit_length() - b.bit_length()  # 2**(e-1) < x < 2**(e+1)
+    a, b = (a, b << e) if e >= 0 else (a << -e, b)
+    if a < b:
+        a, e = a << 1, e - 1
+    prec = 64
+    while True:
+        s2, d2 = _atanh_fixed(1, 3, prec)
+        sm, dm = _atanh_fixed(a - b, a + b, prec)
+        lo = 2 * (e * (s2 if e >= 0 else s2 + d2) + sm)  # lo <= ln(x) * 2**prec <= hi
+        hi = lo + 2 * (abs(e) * d2 + dm)
+        shift = prec - LN_BITS
+        if -(-lo >> shift) == -(-hi >> shift):
+            return Fraction(-(-hi >> shift), 1 << LN_BITS)
+        prec *= 2
 
 
 def log_factor(g: int) -> Fraction:

@@ -27,9 +27,10 @@ alpha0 (>= 4) exercises the phase machinery and is used by the tests.
     x = alpha/log alpha, y = log alpha/log log alpha,
     z = y (1 + 2 log log y / log y)        (logs base 2)
 
-which drives the phase accounting.  Numerically the right inequality
-holds exactly from alpha = 2**16 upward (with equality at 2**16) and
-fails below; the checker is exact at the dyadic boundary case.
+which drives the phase accounting.  Both sides reduce to a closed
+form (proved in `x_seq_holds`): the left inequality always holds for
+alpha > 4, and the right one holds exactly from alpha = 2**16 upward
+(with equality at 2**16, where y = 4 and z = 8) and fails below.
 """
 
 from __future__ import annotations
@@ -56,57 +57,21 @@ DEFAULT_ALPHA0 = 1 << 16
 # ---------------------------------------------------------------------------
 
 
-def _exact_pow2_chain(alpha: int) -> tuple[bool, bool] | None:
-    """Exact evaluation when every iterated log lands on an integer.
-
-    Covers the knife-edge case alpha = 2**16, where y = 4, z = 8 and
-    y^z equals alpha exactly; floating point must not decide that one.
-    """
-    j = alpha.bit_length() - 1
-    if alpha != 1 << j or j < 4:
-        return None
-    m = j.bit_length() - 1
-    if j != 1 << m or j % m:
-        return None
-    y = j // m  # = 2^m / m, integral here
-    e1 = y.bit_length() - 1
-    if y != 1 << e1 or e1 < 1:
-        return None
-    c = e1.bit_length() - 1
-    if e1 != 1 << c:
-        return None
-    # lhs: x log2 x = (alpha/j)(j - m) <= alpha  <=>  j - m <= j, always true.
-    rhs_exp = y * (e1 + 2 * c)  # log2(y^z) with z = y (1 + 2c/e1)
-    return True, alpha <= (1 << rhs_exp) if rhs_exp < 10**6 else True
-
-
-def _x_seq_chain(alpha) -> tuple:
-    """(alpha, x, y, z) of the chain as 60-digit mpmath numbers, for a rational alpha > 4."""
-    import mpmath  # imported here: `import sparsekit` need not load it
-    with mpmath.workdps(60):
-        a = mpmath.mpf(alpha.numerator) / alpha.denominator
-        la = mpmath.log(a, 2)
-        y = la / mpmath.log(la, 2)
-        ly = mpmath.log(y, 2)
-        return a, a / la, y, y * (1 + 2 * mpmath.log(ly, 2) / ly)
-
-
 def x_seq_holds(alpha) -> tuple[bool, bool]:
-    """(x log x <= alpha, alpha <= y^z), exactly at dyadic boundary cases."""
+    """(x log x <= alpha, alpha <= y^z) for a rational alpha > 4, decided
+    exactly: it is (True, alpha >= 2**16).
+
+    Logs are base 2; let la = log alpha and L = log la, so L > 1.
+    Left: x log x = alpha (la - L) / la < alpha.  Right: y = la / L,
+    ly = log y = L - log L > 0 and log(y^z) = z ly = y (ly + 2 log ly).
+    As la = y L, alpha <= y^z iff L <= ly + 2 log ly iff (L = ly + log L)
+    log L <= 2 log ly iff sqrt(L) <= ly, i.e. g(L) >= 0 for
+    g(u) = u - log u - sqrt(u).  g is strictly convex (g'' = 1/(u**2 ln 2)
+    + u**(-3/2)/4 > 0) with g(1) = g(4) = 0, so for L > 1, g(L) >= 0
+    exactly when L >= 4, i.e. alpha >= 2**16.
+    """
     alpha = check_rational("alpha", alpha, lo=4, open_lo=True)
-    if alpha.denominator == 1 and (exact := _exact_pow2_chain(alpha.numerator)) is not None:
-        return exact
-    import mpmath
-    a, x, y, z = _x_seq_chain(alpha)
-    with mpmath.workdps(60):
-        lhs = x * mpmath.log(x, 2)
-        rhs = y**z
-        for delta in (lhs - a, rhs - a):
-            if delta != 0 and abs(delta) / a < mpmath.mpf("1e-40"):
-                raise InvariantViolation(
-                    f"x_seq_holds({alpha}): too close to equality for float paths"
-                )
-        return bool(lhs <= a), bool(a <= rhs)
+    return True, alpha >= 1 << 16
 
 
 # ---------------------------------------------------------------------------

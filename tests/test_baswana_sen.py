@@ -561,6 +561,25 @@ def test_distributed_spanner_derives_each_coin_once(monkeypatch):
     assert {(2, v, 1) for v in range(256)} <= set(per_run[2])
 
 
+def test_program_reused_over_many_seeds_holds_one_record():
+    # The program keeps only its latest run's record, so reusing it over
+    # many seeds does not grow it.
+    import gc
+
+    from sparsekit import baswana_sen
+    from sparsekit.congest import run
+
+    def records() -> int:
+        gc.collect()
+        return sum(isinstance(o, baswana_sen._BSRun) for o in gc.get_objects())
+
+    g, before = gnp_graph(40, 0.2, seed=7), records()
+    program = BaswanaSenProgram(3)
+    for seed in range(1, 51):
+        assert set().union(*run(g, program, seed=seed).outputs.values()) == spanner(g, 3, seed).ids
+    assert records() == before + 1
+
+
 def test_spanner_stretch_guarantee_random():
     for seed in range(8):
         weighted = seed % 2 == 0

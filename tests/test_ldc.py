@@ -72,6 +72,17 @@ def test_carve_separation_guard_on_annulus_shortcut():
     assert 2 * covered >= g.n
 
 
+def test_carve_checks_coverage_once(monkeypatch):
+    # the half-coverage invariant is read once, by SeparatedClustering.validate
+    calls, real = [], Clustering.covered
+    monkeypatch.setattr(Clustering, "covered", lambda self: calls.append(1) or real(self))
+    carve_clustering(path_graph(20), 2)
+    assert len(calls) == 1
+    monkeypatch.setattr(Clustering, "covered", lambda self: 0)
+    with pytest.raises(InvariantViolation, match="fewer than half"):
+        carve_clustering(path_graph(20), 2)
+
+
 def test_carve_rejects_bad_t():
     with pytest.raises(ParameterError):
         carve_clustering(path_graph(4), 0)

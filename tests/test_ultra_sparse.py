@@ -7,16 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekit import ultra_sparse
 from sparsekit.errors import ParameterError
 from sparsekit.graph import EdgeSet
-from sparsekit.ultra_sparse import (
-    _x_seq_chain,
-    linear_size_spanner,
-    ultra_sparse_spanner,
-    x_seq_holds,
-)
+from sparsekit.ultra_sparse import linear_size_spanner, ultra_sparse_spanner, x_seq_holds
 from sparsekit.verify import measure_stretch, verify_stretch
 
 from conftest import SUBPROCESS_ENV, connected_gnp, gnp_graph
@@ -30,8 +27,45 @@ def test_x_seq_exact_boundary_case():
     # right, decided exactly (not by floating point).
     left, right = x_seq_holds(1 << 16)
     assert left and right
-    _, _, y, z = _x_seq_chain(1 << 16)
-    assert float(y) == 4.0 and float(z) == 8.0
+    # the chain in integers, each log exact: la = log alpha, L = log la, ly = log y
+    la, L, ly = 16, 4, 2
+    assert 1 << la == 1 << 16 and 1 << L == la
+    y = la // L
+    assert y * L == la and 1 << ly == y
+    z = y * (ly + 2 * 1) // ly  # z = y (1 + 2 log ly / ly), log ly = 1
+    assert y == 4 and z == 8 and 4**8 == 2**16 == y**z
+
+
+@pytest.mark.parametrize("k", [30, 36, 45, 60, 100])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_x_seq_decides_next_to_the_boundary(k, sign):
+    alpha = (1 << 16) + sign * Fraction(1, 10**k)
+    assert x_seq_holds(alpha) == (True, alpha >= 1 << 16) == (True, sign > 0)
+
+
+def _x_seq_margins(alpha: Fraction) -> tuple[float, float]:
+    """log2(alpha) - log2(x log x) and log2(y^z) - log2(alpha), in floats."""
+    la = math.log2(alpha.numerator) - math.log2(alpha.denominator)
+    lx = la - math.log2(la)  # log2 x
+    y = la / math.log2(la)
+    ly = math.log2(y)
+    return la - lx - math.log2(lx), y * (ly + 2 * math.log2(ly)) - la
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(5, 1 << 17),
+    st.builds(lambda a, b: 4 + Fraction(a, b), st.integers(1, 2**80), st.integers(1, 2**40)),
+    st.builds(lambda a, b: (1 << 16) + Fraction(a, b), st.integers(-(2**20), 2**20), st.integers(2**8, 2**100)),
+))
+def test_x_seq_closed_form_sweep(alpha):
+    left, right = x_seq_holds(alpha)
+    assert left and right == (alpha >= 1 << 16)
+    # away from equality, a float evaluation of the chain agrees
+    lmargin, rmargin = _x_seq_margins(alpha)
+    assert lmargin > 0
+    if abs(rmargin) > 1e-9:
+        assert right == (rmargin > 0)
 
 
 def test_x_seq_threshold_behavior():
