@@ -1,10 +1,13 @@
 """Command-line surface: generate graphs, build/verify spanners and
 certificates, and emit benchmark tables.
 
-Every command is reproducible byte-for-byte given identical inputs and
-seeds; exit code 0 means every requested verification passed.  Machine
-reports are JSON; benchmark tables are CSV.  Bench config files are
-flat key=value lines (see bench/baseline.cfg).
+Commands are byte-reproducible given identical inputs and seeds.  Exit 0:
+every requested verification passed; 1: one failed; 2: bad input, such as
+a file that is not UTF-8.  Reports are JSON, bench tables CSV.  Every path
+option takes '-' for stdout, where an edge list comes before the report.
+`ALGOS` gives each algorithm's parameter, certified stretch bound and bench
+size bound.  Bench configs are key=value lines over the keys of `BENCH_KEYS`,
+with defaults algos=bs ns=32 ks=2 ts=4 seeds=1 p=0.2 weighted=0 linear_alpha0=65536.
 """
 
 from __future__ import annotations
@@ -15,29 +18,55 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .baswana_sen import run_distributed_spanner, spanner
 from .certificates import certificate_large_k, certificate_small_k, verify_certificate
 from .derand import deterministic_spanner
 from .errors import ParameterError, SparsekitError, check_rational
-from .generate import KINDS
-from .graph import Graph
+from .generate import KINDS, gnp
+from .graph import Graph, read_text
 from .ldc import ldc_sparse_spanner, stretch_bound_ldc
-from .ultra_sparse import linear_size_spanner, ultra_sparse_spanner
-from .verify import measure_stretch, verify_stretch
-
-ALGOS = ("bs", "bs-det", "linear", "linear-det", "ultra", "ldc")
+from .ultra_sparse import DEFAULT_ALPHA0, linear_size_spanner, ultra_sparse_spanner
+from .verify import measure_stretch
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return str(x)
+class Algo(NamedTuple):
+    param: str | None  # "k" or "t": the parameter the builder reads and the bench sweeps
+    build: Callable  # (graph, param, seed, alpha0) -> EdgeSet; alpha0 is linear_size_spanner's
+    stretch: Callable | None  # (n, param) -> certified stretch bound; None where none is certified
+    size: Callable  # (n, param) -> the edge count the bench table pins
+
+
+def _bs_size(n: int, k: int) -> int:  # mean spanner size <= 4 * (nk + n^(1+1/k) log2 k)
+    return math.ceil(4 * (n * k + n ** (1 + 1 / k) * max(1, math.log2(k))))
+
+
+def _cap(n: int, t: int) -> int:  # the ultra-sparse and ball-carving spanners' exact cap
+    return n + math.ceil(n / t)
+
+
+# Builders look their functions up at call time, so that a tracer may rebind them here.
+ALGOS = {
+    "bs": Algo("k", lambda g, k, seed, _: spanner(g, k, seed), lambda n, k: 2 * k - 1, _bs_size),
+    "bs-det": Algo("k", lambda g, k, seed, _: deterministic_spanner(g, k), lambda n, k: 2 * k - 1, _bs_size),
+    "linear": Algo(None, lambda g, _, seed, a0: linear_size_spanner(g, mode="randomized", seed=seed, alpha0=a0),
+                   None, lambda n, _: 10 * n),  # linear-size spanner <= 10 n at bench scale
+    "linear-det": Algo(None, lambda g, _, seed, a0: linear_size_spanner(g, mode="derandomized", alpha0=a0),
+                       None, lambda n, _: 10 * n),
+    "ultra": Algo("t", lambda g, t, seed, _: ultra_sparse_spanner(g, t), None, _cap),
+    "ldc": Algo("t", lambda g, t, seed, _: ldc_sparse_spanner(g, t), lambda n, t: stretch_bound_ldc(n, t), _cap),
+}
+
+
+def _check_stretch(algo: Algo, graph: Graph, edges, param):
+    """(bound, worst ratio, worst edge, ok): `measure_stretch` of `edges` against the
+    algorithm's certified bound (None: none), ok when the ratio is finite and within it."""
+    bound = algo.stretch(graph.n, param) if algo.stretch else None
+    ratio, worst = measure_stretch(graph, edges.ids)
+    return bound, ratio, worst, not math.isinf(ratio) and (bound is None or ratio <= bound)
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -45,6 +74,14 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _finish(args, edges, report: dict, ok: bool) -> int:
+    """Write the edge list (if asked for) and then the JSON report; exit code 0 if `ok`, else 1."""
+    if args.output:
+        _write_output(args.output, edges.to_text())
+    _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -65,39 +102,18 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_spanner(graph: Graph, algo: str, k: int, t: int, seed: int, *, alpha0: float | None = None):
-    lin_kwargs = {} if alpha0 is None else {"alpha0": alpha0}
-    if algo == "bs":
-        return spanner(graph, k, seed), 2 * k - 1
-    if algo == "bs-det":
-        return deterministic_spanner(graph, k), 2 * k - 1
-    if algo == "linear":
-        return linear_size_spanner(graph, mode="randomized", seed=seed, **lin_kwargs), None
-    if algo == "linear-det":
-        return linear_size_spanner(graph, mode="derandomized", **lin_kwargs), None
-    if algo == "ultra":
-        return ultra_sparse_spanner(graph, t), None
-    if algo == "ldc":
-        return ldc_sparse_spanner(graph, t), stretch_bound_ldc(graph.n, t)
-    raise SparsekitError(f"unknown algorithm {algo!r}")
-
-
 def cmd_spanner(args) -> int:
     graph = Graph.read(args.input)
-    edges, alpha = build_spanner(graph, args.algo, args.k, args.t, args.seed)
+    algo = ALGOS[args.algo]
+    param = getattr(args, algo.param) if algo.param else None
+    edges = algo.build(graph, param, args.seed, DEFAULT_ALPHA0)
     report: dict = {"algo": args.algo, "n": graph.n, "m": graph.m, "edges": len(edges)}
     ok = True
     if args.verify:
-        if alpha is not None:
-            rep = verify_stretch(graph, edges, alpha)
-            ratio, worst, ok = rep.worst_ratio, rep.worst_edge, rep.ok
-            report["stretch_bound"] = _fmt(alpha)
-            report["stretch_ok"] = rep.ok
-        else:
-            ratio, worst = measure_stretch(graph, edges.ids)
-            ok = not math.isinf(ratio)
-        report["measured_stretch"] = _fmt(ratio)
-        report["worst_edge"] = worst
+        bound, ratio, worst, ok = _check_stretch(algo, graph, edges, param)
+        if bound is not None:
+            report["stretch_bound"], report["stretch_ok"] = str(bound), ok
+        report["measured_stretch"], report["worst_edge"] = str(ratio), worst
     if args.simulate:
         if args.algo != "bs":
             raise SparsekitError(f"--simulate is only available for algo 'bs', not {args.algo!r}")
@@ -108,10 +124,7 @@ def cmd_spanner(args) -> int:
         report["message_bits"] = trace.max_message_bits
         report["distributed_matches"] = dist_edges.ids == edges.ids
         ok = ok and dist_edges.ids == edges.ids
-    if args.output:
-        edges.write(args.output)
-    _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
-    return 0 if ok else 1
+    return _finish(args, edges, report, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +152,14 @@ def cmd_certificate(args) -> int:
         rep = verify_certificate(graph, cert, args.k)
         report["verify_mode"] = rep.mode
         report["verify_ok"] = rep.ok
-        report["verify_detail"] = {k: _fmt(v) for k, v in rep.detail.items()}
+        report["verify_detail"] = {k: str(v) for k, v in rep.detail.items()}
         ok = rep.ok
-    if args.output:
-        cert.write(args.output)
-    _write_output(args.json, json.dumps(report, sort_keys=True) + "\n")
-    return 0 if ok else 1
+    return _finish(args, cert, report, ok)
 
 
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
-
-BENCH_SIZE_CONSTANT = 4  # pinned: mean spanner size <= C*(nk + n^(1+1/k) log2 k)
-BENCH_LINEAR_CONSTANT = 10  # pinned: linear-size spanner <= C*n at bench scale
-BENCH_ROUNDS_CONSTANT = 1  # pinned: distributed rounds <= C*k
 
 
 def parse_bench_config(text: str) -> dict[str, str]:
@@ -171,6 +177,28 @@ def _ints(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x.strip()]
 
 
+def _algos(s: str) -> list[str]:
+    names = [a.strip() for a in s.split(",")]
+    if not set(names) <= ALGOS.keys():
+        raise ValueError(s)
+    return names
+
+
+# key -> (default, parser).  Linear-size rows only pin a meaningful size
+# constant once the phase schedule engages, hence the test-mode
+# linear_alpha0 in the baseline config.
+BENCH_KEYS = {
+    "algos": ("bs", _algos),
+    "ns": ("32", _ints),
+    "ks": ("2", _ints),
+    "ts": ("4", _ints),
+    "seeds": ("1", _ints),
+    "p": ("0.2", float),
+    "weighted": ("0", lambda s: ("0", "1").index(s) == 1),
+    "linear_alpha0": (str(DEFAULT_ALPHA0), float),
+}
+
+
 def _setting(cfg: dict[str, str], key: str, default: str, parse):
     """`parse` of cfg[key] (or `default`); a bad or empty value is a ParameterError naming the key."""
     value = cfg.get(key, default)
@@ -184,80 +212,38 @@ def _setting(cfg: dict[str, str], key: str, default: str, parse):
 
 
 def run_bench(cfg: dict[str, str]) -> str:
-    algos = [a.strip() for a in cfg.get("algos", "bs").split(",")]
-    ns = _setting(cfg, "ns", "32", _ints)
-    ks = _setting(cfg, "ks", "2", _ints)
-    ts = _setting(cfg, "ts", "4", _ints)
-    seeds = _setting(cfg, "seeds", "1", _ints)
-    p_edge = _setting(cfg, "p", "0.2", float)
-    weighted = cfg.get("weighted", "0") == "1"
-    # linear-size rows only pin a meaningful size constant once the phase
-    # schedule engages, hence the test-mode alpha0 in the baseline config
-    linear_alpha0 = _setting(cfg, "linear_alpha0", "", float) if "linear_alpha0" in cfg else None
-    from .generate import gnp
-
+    if unknown := [key for key in cfg if key not in BENCH_KEYS]:
+        raise ParameterError(f"bench config: unknown key {unknown[0]}={cfg[unknown[0]]!r}")
+    s = {key: _setting(cfg, key, *spec) for key, spec in BENCH_KEYS.items()}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["algo", "n", "param", "edges", "edges_bound", "stretch", "stretch_bound", "rounds", "seeds", "pass"]
-    )
-    for algo in algos:
-        params = ks if algo in ("bs", "bs-det") else ts if algo in ("ultra", "ldc") else [0]
-        for n in ns:
-            for param in params:
-                sizes: list[int] = []
-                stretches: list[Fraction] = []
-                rounds = 0
-                ok = True
-                for seed in seeds:
-                    g = gnp(n, p_edge, seed=seed * 1009 + n, weighted=weighted and algo != "ldc")
-                    edges, alpha = build_spanner(
-                        g, algo, param, param, seed,
-                        alpha0=linear_alpha0 if algo.startswith("linear") else None,
-                    )
+    writer.writerow(["algo", "n", "param", "edges", "edges_bound", "stretch", "stretch_bound", "rounds", "seeds",
+                     "pass"])
+    for name in s["algos"]:
+        algo = ALGOS[name]
+        for n in s["ns"]:
+            for param in s[algo.param + "s"] if algo.param else [0]:
+                sizes, stretches, rounds, ok = [], [], 0, True
+                for seed in s["seeds"]:
+                    g = gnp(n, s["p"], seed=seed * 1009 + n, weighted=s["weighted"] and name != "ldc")
+                    edges = algo.build(g, param, seed, s["linear_alpha0"])
                     sizes.append(len(edges))
-                    ratio, _ = measure_stretch(g, edges.ids)
-                    ok = ok and not math.isinf(ratio)
+                    bound, ratio, _, within = _check_stretch(algo, g, edges, param)
                     stretches.append(ratio)
-                    if alpha is not None:
-                        ok = ok and ratio <= alpha
-                    if algo == "bs":
+                    ok = ok and within
+                    if name == "bs":  # pinned: distributed rounds <= 1 * k
                         _, trace = run_distributed_spanner(g, param, seed)
                         rounds = max(rounds, trace.rounds_used)
-                        ok = ok and trace.rounds_used <= BENCH_ROUNDS_CONSTANT * param
-                if algo in ("bs", "bs-det"):
-                    k = param
-                    bound = math.ceil(
-                        BENCH_SIZE_CONSTANT * (n * k + n ** (1 + 1 / k) * max(1, math.log2(k)))
-                    )
-                    alpha_txt = str(2 * k - 1)
-                elif algo in ("ultra", "ldc"):
-                    bound = n + math.ceil(n / param)
-                    alpha_txt = str(stretch_bound_ldc(n, param)) if algo == "ldc" else ""
-                else:
-                    bound = BENCH_LINEAR_CONSTANT * n
-                    alpha_txt = ""
-                ok = ok and max(sizes) <= bound
-                writer.writerow(
-                    [
-                        algo,
-                        n,
-                        param,
-                        max(sizes),
-                        bound,
-                        _fmt(max(stretches)),
-                        alpha_txt,
-                        rounds if algo == "bs" else "",
-                        len(seeds),
-                        int(ok),
-                    ]
-                )
+                        ok = ok and trace.rounds_used <= param
+                size = algo.size(n, param)
+                ok = ok and max(sizes) <= size
+                writer.writerow([name, n, param, max(sizes), size, max(stretches), bound,  # csv writes None as ""
+                                 rounds if name == "bs" else "", len(s["seeds"]), int(ok)])
     return out.getvalue()
 
 
 def cmd_bench(args) -> int:
-    cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
-    table = run_bench(cfg)
+    table = run_bench(parse_bench_config(read_text(args.config, ParameterError)))
     _write_output(args.csv, table)
     return 0 if all(row.rsplit(",", 1)[-1] == "1" for row in table.strip().splitlines()[1:]) else 1
 
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--simulate", action="store_true")
     s.add_argument("--budget-bits", type=int, default=None)
     s.add_argument("--max-rounds", type=int, default=None)
-    s.add_argument("--output", "-o", default=None, help="edge-id list file")
+    s.add_argument("--output", "-o", default=None, help="edge-id list path ('-' = stdout)")
     s.add_argument("--json", default=None, help="JSON report path ('-' = stdout)")
     s.set_defaults(func=cmd_spanner)
 
@@ -306,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--variant", choices=("small", "large"), default="small")
     c.add_argument("--verify", action="store_true")
-    c.add_argument("--output", "-o", default=None)
-    c.add_argument("--json", default=None)
+    c.add_argument("--output", "-o", default=None, help="edge-id list path ('-' = stdout)")
+    c.add_argument("--json", default=None, help="JSON report path ('-' = stdout)")
     c.set_defaults(func=cmd_certificate)
 
     b = sub.add_parser("bench", help="run a benchmark config, emit CSV")

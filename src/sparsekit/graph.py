@@ -28,7 +28,7 @@ from typing import Any, Container, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import InvalidGraphError, ParameterError, check_edge_ids, check_edge_set, check_int
+from .errors import InvalidGraphError, ParameterError, SparsekitError, check_edge_ids, check_edge_set, check_int
 
 
 def _graph_input(check, *args, **kwargs):
@@ -37,6 +37,14 @@ def _graph_input(check, *args, **kwargs):
         return check(*args, **kwargs)
     except ParameterError as ex:
         raise InvalidGraphError(str(ex)) from None
+
+
+def read_text(path: str | Path, error: type[SparsekitError] = InvalidGraphError) -> str:
+    """The file at `path` as UTF-8 text; undecodable bytes raise `error`, naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as ex:
+        raise error(f"{path} is not UTF-8 text: {ex}") from None
 
 
 class Edge(NamedTuple):
@@ -264,7 +272,7 @@ class Graph:
 
     @classmethod
     def read(cls, path: str | Path) -> "Graph":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "weighted" if self.weighted else "unweighted"
@@ -301,6 +309,6 @@ class EdgeSet:
     @classmethod
     def read(cls, graph: Graph, path: str | Path) -> "EdgeSet":
         try:
-            return cls(graph, [int(ln) for ln in Path(path).read_text(encoding="utf-8").split()])
+            return cls(graph, [int(ln) for ln in read_text(path).split()])
         except ValueError as ex:  # from int(): EdgeSet itself raises InvalidGraphError
             raise InvalidGraphError(f"bad edge id line in {path}: {ex}") from None

@@ -214,12 +214,57 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("line, key", [("ns=abc", "ns"), ("p=x", "p"), ("seeds=", "seeds")])
+@pytest.mark.parametrize(
+    "line, key",
+    [("ns=abc", "ns"), ("p=x", "p"), ("seeds=", "seeds"), ("seed=7", "seed"), ("weighted=yes", "weighted")],
+)
 def test_malformed_bench_config_exits_2(tmp_path, capsys, line, key):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(f"algos=bs\nks=2\n{line}\n")
     assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "out.csv")]) == 2
     assert f" {key}=" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spanner", "--algo", "bs", "-i"], ["certificate", "--k", "2", "-i"], ["bench", "--csv", "out.csv", "--config"]],
+    ids=["spanner", "certificate", "bench"],
+)
+def test_undecodable_input_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("3 1 unweighted\n0 1\n# na\xefve\n".encode("latin-1"))
+    assert main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "UTF-8" in err and not out
+
+
+@pytest.mark.parametrize(
+    "argv", [["spanner", "--algo", "ultra", "--verify"], ["certificate", "--k", "2"]], ids=["spanner", "certificate"]
+)
+def test_dash_output_is_stdout(tmp_path, monkeypatch, capsys, argv):
+    # The edge list comes first and the JSON report last, as with any other path.
+    monkeypatch.chdir(tmp_path)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)], weighted=False)
+    g.write("g.txt")
+    assert main([*argv, "-i", "g.txt", "-o", "-", "--json", "-"]) == 0
+    *edge_lines, last = capsys.readouterr().out.splitlines()
+    ids = [int(x) for x in edge_lines]
+    assert ids == sorted(ids) and len(ids) == json.loads(last)["edges"] > 0
+    assert not (tmp_path / "-").exists()
+
+
+def test_run_bench_measures_stretch_once_per_row_and_seed(monkeypatch):
+    # The benchmark times cli.measure_stretch as the bench table's only oracle.
+    import sparsekit.cli as cli_module
+
+    calls = []
+    measure = cli_module.measure_stretch
+    monkeypatch.setattr(cli_module, "measure_stretch", lambda *a: calls.append(a) or measure(*a))
+    table = run_bench(parse_bench_config("algos=bs,linear,ultra,ldc\nns=16,20\nks=2,3\nts=4\nseeds=1,2,3\n"))
+    rows = table.strip().splitlines()[1:]
+    assert len(rows) == 2 * (2 + 1 + 1 + 1) and all(row.endswith(",1") for row in rows)
+    assert len(calls) == len(rows) * 3
 
 
 @pytest.mark.parametrize("variant", ["small", "large"])
@@ -303,3 +348,37 @@ def test_spanner_cmd_on_degenerate_inputs(tmp_path, capsys, algo, name):
             assert (report["n"], report["m"]) == (graph.n, graph.m) and report["edges"] <= graph.m
             if "--simulate" in flags:
                 assert report["distributed_matches"]
+
+
+# The --json reports of `spanner --verify` and `certificate --verify` on one
+# fixed graph, pinned so that no change to the CLI's plumbing changes a report:
+# gnp(48, 0.5, seed 3), weighted except for ldc (which needs uniform weights)
+# and the certificates; k = 3, t = 4, seed 1.
+PINNED_REPORTS = {
+    "bs": {"algo": "bs", "distributed_matches": True, "edges": 365, "m": 618, "measured_stretch": "29/26",
+           "message_bits": 8, "n": 48, "rounds": 2, "stretch_bound": "5", "stretch_ok": True, "worst_edge": 314},
+    "bs-det": {"algo": "bs-det", "edges": 618, "m": 618, "measured_stretch": "1", "n": 48, "stretch_bound": "5",
+               "stretch_ok": True, "worst_edge": 3},
+    "linear": {"algo": "linear", "edges": 618, "m": 618, "measured_stretch": "1", "n": 48, "worst_edge": 3},
+    "linear-det": {"algo": "linear-det", "edges": 618, "m": 618, "measured_stretch": "1", "n": 48, "worst_edge": 3},
+    "ultra": {"algo": "ultra", "edges": 57, "m": 618, "measured_stretch": "25/7", "n": 48, "worst_edge": 469},
+    "ldc": {"algo": "ldc", "edges": 47, "m": 574, "measured_stretch": "4", "n": 48, "stretch_bound": "1041",
+            "stretch_ok": True, "worst_edge": 40},
+    "small": {"edge_cap": 120, "edges": 100, "eps": 0.25, "k": 2, "m": 574, "n": 48, "variant": "small",
+              "verify_detail": {"lambda_g": "17", "lambda_h": "2"}, "verify_mode": "mincut", "verify_ok": True},
+    "large": {"edge_cap": 120, "edges": 93, "eps": 0.25, "k": 2, "m": 574, "n": 48, "variant": "large",
+              "verify_detail": {"lambda_g": "17", "lambda_h": "2"}, "verify_mode": "mincut", "verify_ok": True},
+}
+
+
+@pytest.mark.parametrize("name", [*ALGOS, "small", "large"])
+def test_verify_report_is_pinned(tmp_path, capsys, name):
+    gpath = tmp_path / "g.txt"
+    weighted = ["--weighted"] if name in ALGOS and name != "ldc" else []
+    assert main(["generate", "--kind", "gnp", "--n", "48", "--p", "0.5", "--seed", "3", "-o", str(gpath), *weighted]) == 0
+    if name in ALGOS:
+        argv = ["spanner", "--algo", name, "--k", "3", "--t", "4", *(["--simulate"] if name == "bs" else [])]
+    else:
+        argv = ["certificate", "--variant", name, "--k", "2"]
+    assert main([*argv, "-i", str(gpath), "--seed", "1", "--verify", "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out) == PINNED_REPORTS[name]
