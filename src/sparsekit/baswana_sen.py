@@ -332,7 +332,6 @@ def run_g_iterations(
     deterministic: bool = False,
     iota: int = 64,
     salt: bytes = _COIN_SALT,
-    enforce_budget: bool = True,
 ) -> tuple[EdgeSet, Clustering, BSState]:
     """Run g sampled iterations at probability p on a fresh trivial partition.
 
@@ -345,10 +344,7 @@ def run_g_iterations(
     g, seed, iota = check_int("g", g, lo=0), check_int("seed", seed, **SEED_RANGE), check_int("iota", iota, lo=1)
     if (p := check_rational("p", p, lo=0, hi=1, open_hi=True)) and graph.n >= 2:  # p = 0 samples nothing
         check_rational("p", p, lo=Fraction(1, graph.n), open_lo=True)
-    state = run_iterations(
-        initial_state(graph), g, p, seed,
-        salt=salt, deterministic=deterministic, iota=iota, enforce_budget=enforce_budget,
-    )
+    state = run_iterations(initial_state(graph), g, p, seed, salt=salt, deterministic=deterministic, iota=iota)
     return EdgeSet(graph, state.spanner), state.clustering, state
 
 

@@ -7,7 +7,8 @@ a file that is not UTF-8.  Reports are JSON, bench tables CSV.  Every path
 option takes '-' for stdout, where an edge list comes before the report.
 `ALGOS` gives each algorithm's parameter, certified stretch bound and bench
 size bound.  Bench configs are key=value lines over the keys of `BENCH_KEYS`,
-with defaults algos=bs ns=32 ks=2 ts=4 seeds=1 p=0.2 weighted=0 linear_alpha0=65536.
+each at most once, with defaults algos=bs ns=32 ks=2 ts=4 seeds=1 p=0.2
+weighted=0 linear_alpha0=65536.
 """
 
 from __future__ import annotations
@@ -168,8 +169,10 @@ def parse_bench_config(text: str) -> dict[str, str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in cfg:
+            raise ParameterError(f"bench config: repeated key {key}={value!r}")
+        cfg[key] = value
     return cfg
 
 

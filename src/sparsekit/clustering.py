@@ -89,7 +89,7 @@ class Clustering:
                     raise InvalidClusteringError(f"parent {p} of node {v} is not a node")
                 if parent[p] == -1:
                     raise InvalidClusteringError(f"node {v} hangs below unclustered node {p}")
-                if (eid := graph.edge_between(v, p)) is None:
+                if (eid := graph.adj[v].get(p)) is None:
                     raise InvalidClusteringError(f"no edge between node {v} and its parent {p}")
                 children.setdefault(p, []).append(v)
                 up[v] = eid

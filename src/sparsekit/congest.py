@@ -153,12 +153,7 @@ def run(
     limit = max(16, 10 * graph.n) if max_rounds is None else check_int("max_rounds", max_rounds, lo=0)
     seed = check_int("seed", seed, **SEED_RANGE)
 
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
-    for eid, u, v, w in graph.edges:  # ascending ids, the order of graph.adj
-        incident[u].append((eid, v, w))
-        incident[v].append((eid, u, w))
-    views = [LocalView(v, graph.n, tuple(inc)) for v, inc in enumerate(incident)]
-    neighbor_sets = [{nb for _, nb, _ in inc} for inc in incident]
+    views = [LocalView(v, graph.n, tuple(graph.neighbors(v))) for v in range(graph.n)]
 
     states: dict[int, Any] = dict.fromkeys(range(graph.n))  # the running nodes, in id order
     outputs: dict[int, Any] = {}
@@ -168,7 +163,7 @@ def run(
     def post(sender: int, outbox: dict[int, bytes], round_no: int, nxt: list[dict[int, bytes]]):
         nonlocal max_bits
         msgs = outbox.values()
-        if (outbox.keys() <= neighbor_sets[sender] and all(type(msg) is bytes for msg in msgs)
+        if (outbox.keys() <= graph.adj[sender].keys() and all(type(msg) is bytes for msg in msgs)
                 and (bits := 8 * max(map(len, msgs), default=0)) <= budget):
             max_bits = max(max_bits, bits)
             for dst, msg in outbox.items():
@@ -176,7 +171,7 @@ def run(
             return
         for dst in sorted(outbox):  # a check failed, or a message is not `bytes`
             msg = outbox[dst]
-            if dst not in neighbor_sets[sender]:
+            if dst not in graph.adj[sender]:
                 raise ParameterError(f"node {sender} sent to non-neighbor {dst}")
             if not isinstance(msg, (bytes, bytearray)):
                 raise ParameterError(f"node {sender} sent a non-bytes message")

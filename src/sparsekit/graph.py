@@ -4,8 +4,12 @@ Nodes are the integers 0..n-1.  Edges carry dense ids 0..m-1 (their
 position in the edge list), which every other structure in the toolkit
 refers to.  Graphs are simple (no self-loops, no parallel edges) with
 nonnegative integer weights bounded by a configurable polynomial cap.
-`Graph.bfs` is the one hop traversal: multi-source, level by level,
-optionally restricted to a node set, an edge-id set and a depth.
+`Graph.adj[v]` is the one pair index: a read-only map from each
+neighbour of v to the id of the edge joining them, in ascending edge-id
+order.  `edge_between`, `incident`, `neighbors`, `bfs` and the
+clustering link check all read it.  `Graph.bfs` is the one hop
+traversal: multi-source, level by level, optionally restricted to a
+node set, an edge-id set and a depth.
 
 `Graph.arrays` is the one array form of the edge list, built on first
 use and read-only; `Graph.matrix` builds every symmetric sparse matrix
@@ -22,8 +26,10 @@ Text format (one graph per file)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Container, Iterable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -81,7 +87,7 @@ def first_per_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "weighted", "weight_cap", "adj", "_pair_index", "_arrays")
+    __slots__ = ("n", "edges", "weighted", "weight_cap", "adj", "_arrays")
 
     def __init__(
         self,
@@ -95,8 +101,7 @@ class Graph:
         self.weighted = weighted
         self.weight_cap = weight_cap if weight_cap is not None else max(4, n) ** 4
         built: list[Edge] = []
-        pair_index: dict[tuple[int, int], int] = {}
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for eid, e in enumerate(edges):
             try:
                 if len(e) == 2:
@@ -116,16 +121,12 @@ class Graph:
                 raise InvalidGraphError(f"edge {eid}: weight {w} outside [0, {self.weight_cap}]")
             if not weighted and w != 1:
                 raise InvalidGraphError(f"edge {eid}: unweighted graph with weight {w}")
-            key = (u, v) if u < v else (v, u)
-            if key in pair_index:
-                raise InvalidGraphError(f"edge {eid}: duplicate of edge {pair_index[key]}")
-            pair_index[key] = eid
+            if v in adj[u]:
+                raise InvalidGraphError(f"edge {eid}: duplicate of edge {adj[u][v]}")
             built.append(Edge(eid, u, v, w))
-            adj[u].append(eid)
-            adj[v].append(eid)
+            adj[u][v] = adj[v][u] = eid
         self.edges: tuple[Edge, ...] = tuple(built)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        self._pair_index = pair_index
+        self.adj: tuple[Mapping[int, int], ...] = tuple(map(MappingProxyType, adj))
         self._arrays: EdgeArrays | None = None  # built on first use
 
     # -- basic accessors ------------------------------------------------
@@ -138,18 +139,16 @@ class Graph:
         return self.edges[eid]
 
     def incident(self, v: int) -> tuple[int, ...]:
-        """Edge ids incident to v."""
-        return self.adj[v]
+        """Edge ids incident to v, ascending."""
+        return tuple(self.adj[v].values())
 
     def neighbors(self, v: int) -> Iterator[tuple[int, int, int]]:
-        """Yield (edge_id, neighbor, weight) for each edge at v."""
-        for eid in self.adj[v]:
-            e = self.edges[eid]
-            yield eid, e.other(v), e.w
+        """Yield (edge_id, neighbor, weight) for each edge at v, by ascending id."""
+        for y, eid in self.adj[v].items():
+            yield eid, y, self.edges[eid].w
 
     def edge_between(self, u: int, v: int) -> int | None:
-        key = (u, v) if u < v else (v, u)
-        return self._pair_index.get(key)
+        return self.adj[u].get(v) if 0 <= u < self.n else None
 
     # -- derived structure ----------------------------------------------
 
@@ -198,12 +197,8 @@ class Graph:
             d += 1
             nxt = []
             for x in frontier:
-                for eid in self.adj[x]:
-                    if edges is not None and eid not in edges:
-                        continue
-                    e = self.edges[eid]
-                    y = e.v if e.u == x else e.u
-                    if y not in dist and (nodes is None or y in nodes):
+                for y, eid in self.adj[x].items():
+                    if y not in dist and (nodes is None or y in nodes) and (edges is None or eid in edges):
                         dist[y] = d
                         nxt.append(y)
             frontier = nxt
@@ -273,6 +268,9 @@ class Graph:
     @classmethod
     def read(cls, path: str | Path) -> "Graph":
         return cls.from_text(read_text(path))
+
+    def __reduce__(self):  # pickle and deepcopy rebuild from the edges: a mapping proxy does not pickle
+        return partial(Graph, weighted=self.weighted, weight_cap=self.weight_cap), (self.n, [e[1:] for e in self.edges])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "weighted" if self.weighted else "unweighted"

@@ -82,7 +82,7 @@ def _bfs_tree(
     covers members)."""
     for u in members:
         parent[u] = u if u == root else min(
-            y for _, y, _ in graph.neighbors(u) if y in members and dist[y] == dist[u] - 1
+            y for y in graph.adj[u] if y in members and dist[y] == dist[u] - 1
         )
 
 

@@ -82,12 +82,10 @@ def _sssp(graph: Graph, source: int, allowed) -> list[int | float]:  # `sssp` ov
         d, x = heapq.heappop(pq)
         if d > dist[x]:
             continue
-        for eid in graph.adj[x]:
+        for y, eid in graph.adj[x].items():
             if allowed is not None and eid not in allowed:
                 continue
-            e = graph.edges[eid]
-            y = e.other(x)
-            nd = d + e.w
+            nd = d + graph.edges[eid].w
             if nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(pq, (nd, y))
@@ -292,7 +290,7 @@ def _tree_path_max(graph: Graph, clustering: Clustering, u: int, v: int) -> tupl
     def step(x: int) -> int:
         nonlocal best_w, best_e
         p = parent[x]
-        eid = graph.edge_between(x, p)
+        eid = graph.adj[x][p]
         w = graph.edges[eid].w
         if w > best_w:
             best_w, best_e = w, eid

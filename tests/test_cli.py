@@ -216,7 +216,8 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "line, key",
-    [("ns=abc", "ns"), ("p=x", "p"), ("seeds=", "seeds"), ("seed=7", "seed"), ("weighted=yes", "weighted")],
+    [("ns=abc", "ns"), ("p=x", "p"), ("seeds=", "seeds"), ("seed=7", "seed"), ("weighted=yes", "weighted"),
+     ("ks=3", "ks")],
 )
 def test_malformed_bench_config_exits_2(tmp_path, capsys, line, key):
     cfg = tmp_path / "bench.cfg"

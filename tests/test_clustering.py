@@ -69,7 +69,7 @@ def random_partition(g: Graph, seed: int) -> Clustering:
     parent, inner = list(range(g.n)), set()
     for v in rng.sample(range(g.n), g.n):
         if v not in inner and parent[v] == v and g.adj[v] and rng.random() < 0.6:
-            parent[v] = g.edges[rng.choice(g.adj[v])].other(v)
+            parent[v] = g.edges[rng.choice(g.incident(v))].other(v)
             inner.add(parent[v])
     return Clustering(g, parent)
 

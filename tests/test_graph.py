@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -44,6 +47,54 @@ def test_validation_errors():
     ):
         with pytest.raises(InvalidGraphError):
             Graph(n, edges)
+
+
+def test_duplicate_names_the_first_repeat_and_its_earlier_twin():
+    with pytest.raises(InvalidGraphError, match="edge 2: duplicate of edge 0"):
+        Graph(3, [(0, 1), (1, 2), (1, 0), (0, 1)], weighted=False)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gnp_graph(9, 0.5, seed=3, weighted=True), Graph(4, [(3, 0, 2), (1, 2, 1), (0, 1, 5)]), Graph(2, [])],
+    ids=["gnp", "edge-n-1-to-0", "no-edges"],
+)
+def test_edge_between_matches_a_scan_of_the_edges(g):
+    for u in range(-1, g.n + 1):
+        for v in range(-1, g.n + 1):
+            scan = [e.id for e in g.edges if {e.u, e.v} == {u, v}]
+            assert g.edge_between(u, v) == (scan[0] if scan else None), (u, v)
+
+
+def test_incident_and_neighbors_list_edges_by_ascending_id():
+    g = Graph(5, [(3, 1, 4), (0, 1, 2), (1, 4, 7), (2, 0, 1), (4, 2, 3)])
+    for v in range(g.n):
+        scan = [e for e in g.edges if v in (e.u, e.v)]
+        assert list(g.incident(v)) == [e.id for e in scan]
+        assert list(g.neighbors(v)) == [(e.id, e.other(v), e.w) for e in scan]
+
+
+def test_adj_maps_each_neighbour_to_its_edge_id_in_id_order():
+    g = gnp_graph(10, 0.5, seed=4, weighted=True)
+    for v in range(g.n):
+        assert list(g.adj[v].items()) == [(nb, eid) for eid, nb, _ in g.neighbors(v)]
+        assert tuple(g.adj[v].values()) == g.incident(v)
+
+
+def test_adj_is_read_only():
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    for v in range(g.n):
+        for x in range(g.n):
+            with pytest.raises(TypeError):
+                g.adj[v][x] = 0  # type: ignore[index]
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_graph_survives_pickle_and_deepcopy(clone):
+    g = Graph(4, [(2, 3, 10**30), (0, 1, 7)], weighted=True, weight_cap=10**40)
+    h = clone(g)
+    assert (h.n, h.edges, h.weighted, h.weight_cap) == (g.n, g.edges, g.weighted, g.weight_cap)
+    assert h.adj == g.adj
 
 
 def test_weight_cap_configurable():

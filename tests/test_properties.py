@@ -46,7 +46,7 @@ def graph_with_clustering(draw):
         parent[root], size, frontier = root, 1, [root]
         while frontier and size < cap:
             x = frontier.pop()
-            for eid in g.adj[x]:
+            for eid in g.incident(x):
                 y = g.edges[eid].other(x)
                 if y in unused and size < cap:
                     parent[y], size = x, size + 1
@@ -139,7 +139,7 @@ def test_color3_program_properly_colors_random_orientations(seed, n, sink_p):
     g = gnp_graph(n, min(1.0, 3.0 / n), seed=seed)
     out = {}
     for v in range(n):
-        nbs = [g.edges[eid].other(v) for eid in g.adj[v]]
+        nbs = [g.edges[eid].other(v) for eid in g.incident(v)]
         out[v] = rng.choice(nbs) if nbs and rng.random() >= sink_p else None
     colors = run(g, Color3Program(out)).outputs
     assert set(colors) == set(range(n)) and set(colors.values()) <= {0, 1, 2}

@@ -38,7 +38,7 @@ def brute_force_distances(g: Graph) -> list[list[float]]:
     def dfs(start: int, node: int, weight: int, visited: set[int]):
         if weight < best[start][node]:
             best[start][node] = weight
-        for eid in g.adj[node]:
+        for eid in g.incident(node):
             e = g.edges[eid]
             nxt = e.other(node)
             if nxt not in visited:
@@ -138,7 +138,7 @@ def test_stretch_friendly_unweighted_any_clustering():
         unused.discard(root)
         while frontier and size < 3:
             x = frontier.pop()
-            for eid in g.adj[x]:
+            for eid in g.incident(x):
                 y = g.edges[eid].other(x)
                 if y in unused and size < 3:
                     parent[y], size = x, size + 1
