@@ -152,8 +152,9 @@ class NodeAdjacency:
 
     @cached_property
     def adds_if_first(self) -> tuple[int, ...]:
-        """Edges added if position j holds the first sampled cluster."""
-        return tuple(len(decide(self.weights, j)) for j in range(self.d))
+        """Edges added if position j holds the first sampled cluster: `len(decide(weights, j))`,
+        one more than the start of j's run of equal weights."""
+        return tuple(bisect_left(self.weights, w) + 1 for w in self.weights)
 
 
 def build_adjacency(state: BSState) -> dict[int, NodeAdjacency]:

@@ -28,8 +28,10 @@ b^K (E[b_v] + n^5 E[h_v]) with K = max d_v + 1, E[U] is one integer over
 the fixed denominator coef.denominator * b^K, and the budget check
 cross-multiplies.  Since E = (1-q) E0 + q E1, E0 <= E1 exactly when
 E0 <= E, so fixing a bit evaluates only its 0-branch over the affected
-nodes; when 1 wins, the new total and node terms follow from
-b T = (b-a) T0 + a T1, a division that must leave no remainder.
+nodes.  A product term (every unweighted term, and any term gated by
+the bit itself) has one factor b-a turn into b, so T0 = T b / (b-a); a
+weighted term of a non-own bit is rescanned.  When 1 wins, the terms
+follow from b T = (b-a) T0 + a T1.  Neither division may leave a remainder.
 Conditional expectations match brute-force enumeration over the unset
 bits bit-for-bit.
 """
@@ -127,7 +129,8 @@ class _ScaledUtility:
                 continue
             keep = [j for j, c in enumerate(view.clusters) if c != view.own]
             clusters = tuple(view.clusters[j] for j in keep)
-            self.nodes[v] = (view.own, clusters, tuple(view.adds_if_first[j] for j in keep), tail)
+            adds = tuple(view.adds_if_first[j] for j in keep) if ctx.weighted else ()  # unweighted: unread
+            self.nodes[v] = (view.own, clusters, adds, tail)
             # a node depends on its own bit and on every adjacent cluster's
             affected_sets[view.own].add(v)
             for c in clusters:
@@ -172,11 +175,17 @@ class _ScaledUtility:
         return Fraction(total, self.den)
 
     def zero_branch(self, j: int) -> tuple[int, dict[int, int]]:
-        """Total and affected node terms with unset bit j fixed to 0."""
-        p0, p1 = self.p0, self.p1
+        """Total and affected node terms with unset bit j fixed to 0: T*b/(b-a), checked exact, for a
+        product term (unweighted, or gated by bit j itself); a weighted non-own term is rescanned."""
+        p0, p1, b = self.p0, self.p1, self.b
         saved = p0[j], p1[j]
-        p0[j], p1[j] = self.b, 0
-        terms = {v: self._term(self.nodes[v]) for v in self.affected[j]}
+        p0[j], p1[j] = b, 0
+        terms = {}
+        for v in self.affected[j]:
+            rescan = self.weighted and self.nodes[v][0] != j
+            terms[v], rem = (self._term(self.nodes[v]), 0) if rescan else divmod(self.terms[v] * b, saved[0])
+            if rem:
+                raise InvariantViolation(f"bit {j}: node {v}'s term is not a multiple of b-a={saved[0]}")
         p0[j], p1[j] = saved
         total = (
             self.total

@@ -139,15 +139,16 @@ class Graph:
         return self.edges[eid]
 
     def incident(self, v: int) -> tuple[int, ...]:
-        """Edge ids incident to v, ascending."""
-        return tuple(self.adj[v].values())
+        """Edge ids incident to node v, ascending; ParameterError unless v is an int in [0, n)."""
+        return tuple(self.adj[check_int("v", v, lo=0, hi=self.n - 1)].values())
 
     def neighbors(self, v: int) -> Iterator[tuple[int, int, int]]:
-        """Yield (edge_id, neighbor, weight) for each edge at v, by ascending id."""
-        for y, eid in self.adj[v].items():
-            yield eid, y, self.edges[eid].w
+        """(edge_id, neighbor, weight) per edge at node v, by ascending id; v checked as in `incident`."""
+        adj = self.adj[check_int("v", v, lo=0, hi=self.n - 1)]
+        return ((eid, y, self.edges[eid].w) for y, eid in adj.items())
 
     def edge_between(self, u: int, v: int) -> int | None:
+        u, v = check_int("u", u), check_int("v", v)
         return self.adj[u].get(v) if 0 <= u < self.n else None
 
     # -- derived structure ----------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from sparsekit.baswana_sen import (
     BaswanaSenProgram,
+    NodeAdjacency,
     build_adjacency,
     cluster_entries,
     decide,
@@ -103,6 +104,15 @@ def test_decide_by_hand():
     # A strictly lighter entry before the target is taken (the own
     # cluster's entry is one like any other here).
     assert decide([2, 3], 1) == [0, 1]
+
+
+def test_adds_if_first_is_len_decide_at_every_position():
+    rng = random.Random(27)
+    for _ in range(300):
+        weights = tuple(sorted(rng.randint(0, rng.choice([1, 3, 20])) for _ in range(rng.randint(0, 12))))
+        d = len(weights)
+        view = NodeAdjacency(0, weights, tuple(range(1, d + 1)), tuple(range(d)), tuple((e,) for e in range(d)))
+        assert view.adds_if_first == tuple(len(decide(weights, j)) for j in range(d)), weights
 
 
 def reference_cluster_entries(edges):

@@ -28,6 +28,15 @@ def cli(*args: str, cwd=None):
     )
 
 
+def test_python_dash_m_sparsekit_runs_the_cli():
+    run = subprocess.run(
+        [sys.executable, "-m", "sparsekit", "bench", "--help"],
+        capture_output=True, text=True, cwd=REPO, env=SUBPROCESS_ENV, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: sparsekit bench")
+
+
 def test_generate_is_byte_reproducible(tmp_path):
     a = cli("generate", "--kind", "gnp", "--n", "10", "--p", "0.5", "--seed", "7", "-o", str(tmp_path / "a"))
     b = cli("generate", "--kind", "gnp", "--n", "10", "--p", "0.5", "--seed", "7", "-o", str(tmp_path / "b"))

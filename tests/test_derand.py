@@ -306,6 +306,60 @@ def test_inexact_one_branch_is_an_invariant_violation():
         utility.one_branch(0, total0 + 1, terms0)
 
 
+@pytest.mark.parametrize("weighted", [True, False])
+def test_bit_walk_matches_a_fresh_evaluation_after_every_step(weighted):
+    # A whole bit sequence with random bits, as fix_bits walks it: after each
+    # step the running total and node terms equal a utility built afresh on
+    # the partial assignment so far.  A small xi engages the n^5 term.
+    from sparsekit.baswana_sen import build_adjacency
+    from sparsekit.derand import _ScaledUtility
+
+    rng = random.Random(31 if weighted else 32)
+    walks = high = 0
+    while walks < 25:
+        n = rng.randint(5, 14)
+        g = gnp_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=rng.randrange(10**6), weighted=weighted, max_weight=9)
+        p = Fraction(rng.randint(1, 3), rng.randint(4, 7))
+        st = initial_state(g) if rng.random() < 0.3 else mid_state(g, p, seed=rng.randrange(100))
+        c = len(st.clustering.clusters)
+        if not c:
+            continue
+        ctx = UtilityContext.create(
+            n=n, iteration=st.iteration, p=p, g=st.iteration + 1, weighted=weighted, xi=Fraction(rng.randint(1, 3))
+        )
+        views = build_adjacency(st)
+        utility = _ScaledUtility(views, ctx, [None] * c)
+        high += any(view.d >= ctx.xi for view in views.values())
+        partial: list[int | None] = [None] * c
+        for j in range(c):
+            bit = rng.randint(0, 1)
+            total, terms = utility.zero_branch(j)
+            if bit:
+                total, terms = utility.one_branch(j, total, terms)
+            utility.fix(j, bit, total, terms)
+            partial[j] = bit
+            fresh = _ScaledUtility(views, ctx, partial)
+            assert (utility.total, utility.terms) == (fresh.total, fresh.terms), (walks, j)
+        walks += 1
+    assert high > 0
+
+
+def test_inexact_zero_branch_is_an_invariant_violation():
+    # A product term must be a multiple of the factor b-a that bit j
+    # contributes; a term that is not makes T*b/(b-a) inexact.
+    from sparsekit.baswana_sen import build_adjacency
+    from sparsekit.derand import _ScaledUtility
+
+    g = gnp_graph(8, 0.6, seed=3)
+    st = initial_state(g)
+    ctx = UtilityContext.create(n=8, iteration=1, p=Fraction(1, 2), g=2, weighted=False, xi=Fraction(1))
+    utility = _ScaledUtility(build_adjacency(st), ctx, [None] * 8)
+    v = next(v for v in utility.affected[0] if utility.terms[v])
+    utility.terms[v] += 1
+    with pytest.raises(InvariantViolation, match=f"node {v}'s term is not a multiple"):
+        utility.zero_branch(0)
+
+
 def test_fix_bits_rejects_an_increasing_step(monkeypatch):
     from sparsekit.derand import _ScaledUtility
 

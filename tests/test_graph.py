@@ -74,6 +74,30 @@ def test_incident_and_neighbors_list_edges_by_ascending_id():
         assert list(g.neighbors(v)) == [(e.id, e.other(v), e.w) for e in scan]
 
 
+@pytest.mark.parametrize("v", [-1, 3, 10, 1.0, "1", None, True])
+def test_incident_and_neighbors_reject_a_bad_node(v):
+    g = Graph(3, [(0, 1, 2), (1, 2, 3)])
+    with pytest.raises(ParameterError):
+        g.incident(v)
+    with pytest.raises(ParameterError):
+        g.neighbors(v)  # on the call, not on the first step
+
+
+def test_node_accessors_take_numpy_ints_and_reject_any_node_of_an_empty_graph():
+    g = Graph(3, [(0, 1, 2), (1, 2, 3)])
+    assert g.incident(np.int64(1)) == (0, 1)
+    assert list(g.neighbors(np.int64(2))) == [(1, 1, 3)]
+    assert g.edge_between(np.int64(2), np.int64(1)) == 1
+    with pytest.raises(ParameterError):
+        Graph(0, []).incident(0)
+
+
+@pytest.mark.parametrize("u, v", [(1.0, 2), (1, 2.0), ("1", 2), (1, None), (True, 0)])
+def test_edge_between_rejects_an_end_that_is_not_an_int(u, v):
+    with pytest.raises(ParameterError):
+        Graph(3, [(0, 1, 2), (1, 2, 3)]).edge_between(u, v)
+
+
 def test_adj_maps_each_neighbour_to_its_edge_id_in_id_order():
     g = gnp_graph(10, 0.5, seed=4, weighted=True)
     for v in range(g.n):
